@@ -44,6 +44,7 @@ from .likelihood import (
     fit_mle,
     neg_log_likelihood,
     nll_gradient,
+    nll_hessian,
 )
 from .lp import (
     ConstraintSet,

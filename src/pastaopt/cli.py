@@ -63,7 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--instance", type=Path, required=True)
     fit.add_argument("--data", type=Path, required=True)
     fit.add_argument("--theta-max", type=float, default=100.0)
-    fit.add_argument("--grad-tol", type=float, default=1e-6)
+    fit.add_argument(
+        "--grad-tol",
+        type=float,
+        default=1e-6,
+        help="stop when the projected-gradient residual ||theta - P(theta - grad)|| "
+        "reaches this (the gradient norm away from the theta-max boundary); "
+        "reported as grad_norm",
+    )
     fit.add_argument("--max-iters", type=int, default=5000)
     fit.add_argument("--out", type=Path, default=None, help="write the fit JSON here")
 

@@ -122,7 +122,8 @@ def generate_instance(cfg: InstanceConfig) -> Instance:
     theta_star is a uniform unit vector (or iid Uniform[-1,1] coordinates in
     iid-uniform mode); item features are uniform unit vectors re-drawn until
     x_i . theta_star <= tau, so no single item dominates; revenues are
-    uniform on [r_lo, r_hi]. The optimum is computed with the LP.
+    uniform on [r_lo, r_hi]. The optimum is computed with the exact top-K
+    assortment rule for the cardinality bound.
     """
     theta_rng = derive_rng(cfg.seed, 0, "theta")
     feat_rng = derive_rng(cfg.seed, 0, "features")

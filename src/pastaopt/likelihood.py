@@ -26,6 +26,7 @@ __all__ = [
     "ConfidenceRegion",
     "neg_log_likelihood",
     "nll_gradient",
+    "nll_hessian",
     "fit_mle",
     "confidence_radius",
 ]
@@ -135,44 +136,71 @@ def neg_log_likelihood(dataset: OfflineDataset, catalog: Catalog, theta: np.ndar
     return value
 
 
-def nll_gradient(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
-    """Gradient of neg_log_likelihood in theta.
+def _nll_derivatives(
+    dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray, hessian: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient and (optionally) Hessian of neg_log_likelihood from one pass.
 
     Per record the score is sum_{j in S} P(j|S;theta) x_j - x_A (dropping
-    the x_A term for no-purchase records); the result averages over records.
-    Accumulation happens in per-item weight space so a single (N, d) product
-    yields the gradient.
+    the x_A term for no-purchase records), and the Hessian is the covariance
+    of x_j under the choice probabilities P(j|S;theta), with no-purchase
+    contributing the zero vector; both average over records. Accumulation
+    happens in per-item weight space so a single (N, d) product yields the
+    gradient.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     rows, log_denom, (idx, mask, chosen), _ = _log_denominators(catalog, dataset, theta)
     probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)
-    item_weight = np.zeros(catalog.n_items)
-    np.add.at(item_weight, idx[mask], probs[mask])
-    purchase = chosen >= 0
-    np.add.at(item_weight, chosen[purchase], -1.0)
-    return (item_weight @ catalog.features) / dataset.n
+    n_items, x = catalog.n_items, catalog.features
+    item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
+    purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
+    grad = ((item_prob - purchases) @ x) / dataset.n
+    if not hessian:
+        return grad, None
+    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # padded slots carry zero mass
+    hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
+    return grad, hess
+
+
+def nll_gradient(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
+    """Gradient of neg_log_likelihood in theta."""
+    return _nll_derivatives(dataset, catalog, theta, hessian=False)[0]
+
+
+def nll_hessian(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
+    """Hessian of neg_log_likelihood in theta: the average choice-weighted
+    covariance of the offered features (positive semidefinite)."""
+    return _nll_derivatives(dataset, catalog, theta, hessian=True)[1]
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Gradient-descent controls for MLE fitting."""
+    """Damped-Newton controls for MLE fitting."""
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step_size: float = 1.0
     max_halvings: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1 or self.max_halvings < 1:
             raise ValueError("iteration counts must be positive")
-        if self.grad_tol <= 0 or self.step_size <= 0:
-            raise ValueError("grad_tol and step_size must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
 class MleFit:
-    """Result of fit_mle: the estimate plus convergence bookkeeping."""
+    """Result of fit_mle: the estimate plus convergence bookkeeping.
+
+    grad_norm is the stationarity measure the stop test uses: the
+    projected-gradient residual ||theta - P(theta - grad)||, with P the
+    projection onto the preference ball. It equals the gradient norm
+    whenever theta - grad lies in the ball (at an interior optimum, once
+    the fit is close); on the boundary it leaves out the outward part of the
+    gradient that the constraint absorbs. converged means
+    grad_norm <= grad_tol.
+    """
 
     theta: np.ndarray
     converged: bool
@@ -181,19 +209,58 @@ class MleFit:
     grad_norm: float
 
 
+def _ball_model_minimizer(
+    theta: np.ndarray, grad: np.ndarray, hess: np.ndarray, radius: float
+) -> np.ndarray:
+    """Minimizer z of the quadratic model grad.(z - theta) + (z - theta).H(z - theta)/2
+    over the ball ||z|| <= radius.
+
+    With H = Q diag(lam) Q^T and c = Q^T (H theta - grad), the minimizer is
+    z(mu) = Q (c / (lam + mu)) with mu = 0 when that lies in the ball and
+    otherwise the mu > 0 solving ||z(mu)|| = radius. The secular equation
+    1/radius - 1/||z(mu)|| = 0 is convex and decreasing in mu, so Newton's
+    method started left of the root climbs to it monotonically.
+    """
+    lam, q = np.linalg.eigh(hess)
+    noise = max(float(lam[-1]), 0.0) * 1e-14 * len(lam)  # H is PSD up to rounding
+    lam = np.where(lam > noise, lam, 0.0)
+    c = q.T @ (hess @ theta - grad)
+
+    def ratio(num: np.ndarray, mu: float) -> np.ndarray:
+        # a zero denominator only meets a zero numerator: mu starts at 0 only if c_null = 0
+        return np.divide(num, lam + mu, out=np.zeros_like(num), where=lam + mu > 0)
+
+    c_null = float(np.linalg.norm(c[lam == 0.0]))
+    mu = c_null / radius  # if c_null > 0, ||z(mu)|| >= radius there: left of the root
+    z = ratio(c, mu)
+    norm = float(np.linalg.norm(z))
+    for _ in range(100):
+        if norm - radius <= 1e-12 * radius:
+            break
+        curvature = float(np.sum(ratio(z * z, mu)))  # sum c^2 / (lam + mu)^3
+        mu += (norm**2 / curvature) * (norm - radius) / radius
+        z = ratio(c, mu)
+        norm = float(np.linalg.norm(z))
+    return q @ z
+
+
+def _projected_residual(space: ParamSpace, theta: np.ndarray, grad: np.ndarray) -> float:
+    return float(np.linalg.norm(theta - space.project(theta - grad)))
+
+
 def fit_mle(
     dataset: OfflineDataset,
     catalog: Catalog,
     space: ParamSpace | None = None,
     opts: FitOptions | None = None,
 ) -> MleFit:
-    """Maximize the likelihood by projected gradient descent from theta = 0.
+    """Maximize the likelihood by damped Newton steps from theta = 0.
 
-    Each iteration starts the step at opts.step_size and halves it until the
-    loss does not increase; iterates are projected onto the preference ball
-    after every step. Stops when the gradient norm reaches grad_tol, when no
-    projected step can improve the loss (boundary or numerically stationary
-    iterate), or after max_iters.
+    Each iteration minimizes the second-order model of the NLL over the
+    preference ball and backtracks along the segment toward that minimizer
+    (halving the step, Armijo condition) until the NLL drops. Stops when the
+    projected-gradient residual reaches grad_tol, when no step along the
+    segment decreases the loss at float resolution, or after max_iters.
     """
     space = space or ParamSpace(dim=catalog.dim)
     if space.dim != catalog.dim:
@@ -201,31 +268,35 @@ def fit_mle(
     opts = opts or FitOptions()
     theta = np.zeros(catalog.dim)
     nll = neg_log_likelihood(dataset, catalog, theta)
-    grad = nll_gradient(dataset, catalog, theta)
-    grad_norm = float(np.linalg.norm(grad))
+    grad, hess = _nll_derivatives(dataset, catalog, theta, hessian=True)
+    residual = _projected_residual(space, theta, grad)
     it = 0
-    while grad_norm > opts.grad_tol and it < opts.max_iters:
-        step = opts.step_size
+    while residual > opts.grad_tol and it < opts.max_iters:
+        direction = _ball_model_minimizer(theta, grad, hess, space.theta_max) - theta
+        slope = float(grad @ direction)
+        if not slope < 0:
+            break  # the model sees no descent at float resolution
+        step = 1.0
         accepted = False
         for _ in range(opts.max_halvings):
-            cand = space.project(theta - step * grad)
+            cand = space.project(theta + step * direction)
             cand_nll = neg_log_likelihood(dataset, catalog, cand)
-            if cand_nll <= nll:
+            if cand_nll <= nll + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
-        if not accepted or (cand_nll == nll and np.array_equal(cand, theta)):
-            break  # no improving projected step exists at float resolution
+        if not accepted:
+            break  # no improving step exists at float resolution
         theta, nll = cand, cand_nll
-        grad = nll_gradient(dataset, catalog, theta)
-        grad_norm = float(np.linalg.norm(grad))
+        grad, hess = _nll_derivatives(dataset, catalog, theta, hessian=True)
+        residual = _projected_residual(space, theta, grad)
         it += 1
     return MleFit(
         theta=theta,
-        converged=grad_norm <= opts.grad_tol,
+        converged=residual <= opts.grad_tol,
         n_iters=it,
         nll=nll,
-        grad_norm=grad_norm,
+        grad_norm=residual,
     )
 
 

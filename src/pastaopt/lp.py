@@ -1,8 +1,16 @@
-"""Assortment optimization as a linear program, plus the enumeration oracle.
+"""Assortment optimization: an exact top-K rule for cardinality constraints,
+a linear program for other totally unimodular constraint sets, and the
+enumeration oracle.
 
-Maximizing expected revenue over binary assortment indicators gamma in a
-polytope {gamma in {0,1}^N : A gamma <= b} with totally unimodular A is a
-linear-fractional program. The classic change of variables
+Under a single cardinality bound K, the optimal MNL revenue lam* is the
+fixed point of lam = sum of the K largest w_j (r_j - lam)^+ divided by the
+no-purchase weight, and the optimal assortment is those K items
+(Rusmevichientong, Shen & Shmoys 2010). Dinkelbach's iteration reaches it
+exactly in a few steps of O(N log N + N K) each.
+
+For any other constraint polytope {gamma in {0,1}^N : A gamma <= b} with
+totally unimodular A, maximizing expected revenue is a linear-fractional
+program. The classic change of variables
 
     w_0 = 1 / (1 + sum_j v_j gamma_j),   w_j = v_j gamma_j w_0
 
@@ -310,8 +318,64 @@ def recover_assortment(sol: LpSolution, v: np.ndarray, atol: float = 1e-6) -> As
     return tuple(int(j + 1) for j in np.flatnonzero(gamma > 0.5))
 
 
+def _shifted_weights(catalog: Catalog, theta: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(u_j - m) for every item and the no-purchase weight exp(-m),
+    m = max(0, max u): revenue ratios are invariant to the shared shift and
+    every weight stays in (0, 1] even for extreme theta."""
+    u = catalog.utilities(theta)
+    shift = max(0.0, float(u.max()))
+    return np.exp(u - shift), float(np.exp(-shift))
+
+
+def _cardinality_bound(cons: ConstraintSet) -> int | None:
+    """K when cons is the single all-ones row sum_j gamma_j <= K with K >= 1."""
+    if cons.n_rows == 1 and np.all(cons.coeffs == 1.0) and cons.bounds[0] >= 1:
+        return int(np.floor(cons.bounds[0]))
+    return None
+
+
+def _top_k_assortment(catalog: Catalog, theta: np.ndarray, k: int) -> Assortment:
+    """Exact optimum under "at most k items" by Dinkelbach iteration.
+
+    With lam the revenue of the current set S, the k items of largest
+    positive gain w_j (r_j - lam) form the best challenger T, and T beats S
+    exactly when its gains outweigh those of S, whose gains sum to w0 lam.
+    Starting from the empty set, move to T until no challenger wins: then no
+    assortment of at most k items beats lam. Gains are formed without a
+    rounded lam, and only the items that T and S do not share are compared,
+    so weights spanning many orders of magnitude keep their order. Ties go
+    to the lower index.
+    """
+    w, w0 = _shifted_weights(catalog, theta)
+    r = catalog.revenues
+    best = np.zeros(len(w), dtype=bool)
+    seen = set()  # guards termination against float ties between two sets
+    while True:
+        # r_j - lam = (r_j w0 + sum_{i in S} w_i (r_j - r_i)) / (w0 + sum_{i in S} w_i)
+        excess = (r * w0 + (r[:, None] - r[best]) @ w[best]) / (w0 + w[best].sum())
+        gain = w * excess
+        order = np.argsort(-gain, kind="stable")[:k]
+        top = np.zeros_like(best)
+        top[order[gain[order] > 0]] = True
+        key = top.tobytes()
+        if gain[top & ~best].sum() <= gain[best & ~top].sum() or key in seen:
+            break
+        seen.add(key)
+        best = top
+    return tuple(int(j) + 1 for j in np.flatnonzero(best))
+
+
 def best_assortment(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -> Assortment:
-    """Revenue-maximizing assortment at theta: build, solve, recover."""
+    """Revenue-maximizing assortment at theta.
+
+    Cardinality constraints take the exact top-K rule; every other
+    constraint set is built into the LP, solved, and recovered.
+    """
+    if cons.n_items != catalog.n_items:
+        raise ValueError("constraint set and catalog disagree on the number of items")
+    k = _cardinality_bound(cons)
+    if k is not None:
+        return _top_k_assortment(catalog, theta, k)
     lp = build_assortment_lp(catalog, theta, cons)
     return recover_assortment(solve_lp(lp), lp.v)
 
@@ -327,10 +391,7 @@ def brute_force_best(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -
         raise ValueError("brute force enumeration is limited to 20 items")
     if cons.n_items != n:
         raise ValueError("constraint set and catalog disagree on the number of items")
-    u = catalog.utilities(theta)
-    shift = max(0.0, float(u.max()))
-    w = np.exp(u - shift)  # stable: value is invariant to rescaling with exp(-shift)
-    w0 = np.exp(-shift)
+    w, w0 = _shifted_weights(catalog, theta)
     rw = catalog.revenues * w
     best_s: Assortment | None = None
     best_v = -np.inf

@@ -136,12 +136,16 @@ class ParamSpace:
         return theta.shape == (self.dim,) and float(np.linalg.norm(theta)) <= self.theta_max
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the ball."""
+        """Euclidean projection onto the ball; the result always passes contains."""
         theta = np.asarray(theta, dtype=float)
         norm = float(np.linalg.norm(theta))
         if norm <= self.theta_max:
             return theta
-        return theta * (self.theta_max / norm)
+        out = theta * (self.theta_max / norm)
+        # rounding can leave the norm an ulp above theta_max: shrink one ulp at a time
+        while float(np.linalg.norm(out)) > self.theta_max:
+            out = np.nextafter(out, 0.0)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Max-min assortment optimization: alternate an LP step with a feasible
-gradient step on the preference vector, plus the estimate-then-optimize
-baseline.
+"""Max-min assortment optimization: alternate an exact assortment step with
+a feasible gradient step on the preference vector, plus the
+estimate-then-optimize baseline.
 
 The pessimistic program maximizes, over assortments, the worst-case
 expected revenue over the likelihood-ratio confidence region. The solver
-alternates (1) the exact LP assortment step at the current preference
+alternates (1) the exact assortment step at the current preference
 vector with (2) a few gradient-descent steps on the revenue that shrink
 their step size until the iterate stays inside the region.
 """
@@ -197,8 +197,8 @@ def pasta_solve(
 ) -> tuple[Assortment, SolveTrace]:
     """Pessimistic assortment optimization.
 
-    Starting from the MLE, alternately (1) take the LP-optimal assortment at
-    the current preference vector and (2) descend that assortment's revenue
+    Starting from the MLE, alternately (1) take the revenue-optimal assortment
+    at the current preference vector and (2) descend that assortment's revenue
     within the confidence region. Stops after max_outer_iters, or earlier
     once the pair (assortment, theta) stops moving.
     """
@@ -229,7 +229,7 @@ def baseline_solve(
     space: ParamSpace | None = None,
     fit_opts: FitOptions | None = None,
 ) -> Assortment:
-    """Estimate-then-optimize: LP-optimal assortment at the plain MLE."""
+    """Estimate-then-optimize: revenue-optimal assortment at the plain MLE."""
     space = _resolve_space(catalog, space)
     fit = fit_mle(dataset, catalog, space, fit_opts)
     return best_assortment(catalog, fit.theta, cons)

@@ -2,7 +2,7 @@
 PASS/FAIL line with the measured quantity next to its threshold.
 
 The sweep-based comparisons (criteria 6 and 7) run the full desk-scale
-experiment grid and take a few minutes each; everything else is fast.
+experiment grid and are the slowest; everything else is fast.
 """
 
 import math

@@ -13,6 +13,7 @@ from pastaopt import (
     fit_mle,
     neg_log_likelihood,
     nll_gradient,
+    nll_hessian,
     sample_choice,
 )
 from conftest import central_difference, random_catalog, relative_error
@@ -92,6 +93,11 @@ class TestNllGradient:
             got = nll_gradient(ds, cat, theta)
             oracle = central_difference(lambda t: neg_log_likelihood(ds, cat, t), theta)
             assert relative_error(got, oracle) < 1e-5
+            hess = nll_hessian(ds, cat, theta)
+            hess_oracle = np.array(
+                [central_difference(lambda t: nll_gradient(ds, cat, t)[j], theta) for j in range(4)]
+            )
+            assert relative_error(hess.ravel(), hess_oracle.ravel()) < 1e-5
 
 
 class TestFitMle:
@@ -108,6 +114,7 @@ class TestFitMle:
         ds = OfflineDataset([(1,)], [1], [1.0])
         fit = fit_mle(ds, cat, ParamSpace(dim=1, theta_max=2.0))
         assert fit.theta[0] == pytest.approx(2.0, abs=1e-9)
+        assert fit.converged is True
 
     def test_loss_never_above_start(self, rng):
         cat = random_catalog(rng, 5, 3)

@@ -3,6 +3,7 @@ import pytest
 
 from pastaopt import (
     Catalog,
+    ConstraintSet,
     IntegralityError,
     LpSolution,
     best_assortment,
@@ -117,19 +118,31 @@ class TestBestAssortment:
         assert best_assortment(scaled, theta, cons) == base
 
     def test_matches_brute_force_on_random_instances(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(2, 9))
-            k = int(rng.integers(1, min(n, 4) + 1))
-            d = int(rng.integers(1, 5))
-            cat = random_catalog(rng, n, d)
-            theta = rng.standard_normal(d)
-            cons = cardinality_constraints(n, k)
-            s_lp = best_assortment(cat, theta, cons)
-            s_bf = brute_force_best(cat, theta, cons)
-            v_lp = expected_revenue(cat, s_lp, theta)
-            v_bf = expected_revenue(cat, s_bf, theta)
-            assert abs(v_lp - v_bf) <= 1e-9
-            assert len(s_lp) <= k
+        # unit-scale theta, large-norm theta (weights spanning many orders of
+        # magnitude), and a two-block constraint set that takes the LP route
+        cases = [(None, False), (10.0, False), (20.0, False), (40.0, False), (None, True)]
+        for norm, blocks in cases:
+            for _ in range(40):
+                n = int(rng.integers(2, 9))
+                k = int(rng.integers(1, min(n, 4) + 1))
+                d = int(rng.integers(1, 5))
+                cat = random_catalog(rng, n, d)
+                theta = rng.standard_normal(d)
+                cons = cardinality_constraints(n, k)
+                if blocks:
+                    half = n // 2
+                    k1, k2 = int(rng.integers(1, half + 1)), int(rng.integers(1, n - half + 1))
+                    coeffs = np.zeros((2, n))
+                    coeffs[0, :half] = coeffs[1, half:] = 1.0
+                    cons = ConstraintSet(coeffs=coeffs, bounds=np.array([k1, k2], dtype=float))
+                if norm is not None:
+                    theta *= norm / np.linalg.norm(theta)
+                s_lp = best_assortment(cat, theta, cons)
+                s_bf = brute_force_best(cat, theta, cons)
+                v_lp = expected_revenue(cat, s_lp, theta)
+                v_bf = expected_revenue(cat, s_bf, theta)
+                assert abs(v_lp - v_bf) <= 1e-9
+                assert cons.admits(s_lp)
 
     def test_lp_objective_equals_recovered_value(self, rng):
         for _ in range(20):

@@ -185,12 +185,20 @@ class TestCatalogIO:
 
 
 class TestParamSpace:
-    def test_membership_and_projection(self):
+    def test_membership_and_projection(self, rng):
         space = ParamSpace(dim=2, theta_max=1.0)
         assert space.contains(np.array([0.6, 0.8]))
         assert not space.contains(np.array([0.7, 0.8]))
         proj = space.project(np.array([3.0, 4.0]))
         assert np.allclose(proj, [0.6, 0.8])
+        # scaling by theta_max / norm can round the norm an ulp past the radius
+        space = ParamSpace(dim=16, theta_max=100.0)
+        for _ in range(2000):
+            theta = rng.standard_normal(16) * rng.uniform(10.0, 1000.0)
+            proj = space.project(theta)
+            assert space.contains(proj)
+            if np.linalg.norm(theta) > space.theta_max:
+                assert np.linalg.norm(proj) == pytest.approx(space.theta_max, rel=1e-14)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):

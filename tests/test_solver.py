@@ -251,6 +251,17 @@ class TestBaseline:
             inst.catalog, fit.theta, cons
         )
 
+    def test_boundary_mle_converges(self):
+        # this log pushes the likelihood maximizer onto the preference ball,
+        # where the fit must still meet its stationarity test
+        inst, ds, _ = small_problem(seed=1030, n=60, n_items=10, k=3, dim=4, p=0.9)
+        space = ParamSpace(dim=4)
+        fit = fit_mle(ds, inst.catalog, space)
+        assert np.linalg.norm(fit.theta) == pytest.approx(space.theta_max, rel=1e-12)
+        assert space.contains(fit.theta)
+        assert fit.converged is True
+        assert fit.n_iters <= 50
+
     def test_large_sample_recovers_truth(self):
         inst, ds, cons = small_problem(seed=42, n=10_000, n_items=6, k=2, dim=2, p=0.3)
         assert baseline_solve(ds, inst.catalog, cons) == inst.s_star
