@@ -30,7 +30,7 @@ from .likelihood import FitOptions, OfflineDataset, fit_mle
 from .lp import cardinality_constraints
 from .model import ParamSpace
 from .rng import derive_rng
-from .solver import GdlsOptions, PastaOptions, baseline_solve, pasta_solve
+from .solver import PastaOptions, baseline_solve, pasta_solve
 
 __all__ = ["main"]
 
@@ -160,9 +160,7 @@ def _cmd_solve(args) -> int:
     dataset = OfflineDataset.load_csv(args.data)
     cons = cardinality_constraints(instance.config.n_items, instance.config.k)
     space = ParamSpace(dim=instance.catalog.dim, theta_max=args.theta_max)
-    opts = PastaOptions(
-        max_outer_iters=args.T, alpha_mode=args.alpha_mode, space=space, gdls=GdlsOptions()
-    )
+    opts = PastaOptions(max_outer_iters=args.T, alpha_mode=args.alpha_mode, space=space)
     if args.method == "pasta":
         s_hat, trace = pasta_solve(dataset, instance.catalog, cons, opts)
         if args.trace:

@@ -31,6 +31,8 @@ __all__ = [
     "confidence_radius",
 ]
 
+_MAX_HALVINGS = 60  # backtracking steps per fit iteration; 2^-60 is below float resolution
+
 
 class OfflineDataset:
     """n records of (assortment shown, item chosen, revenue realized).
@@ -58,7 +60,8 @@ class OfflineDataset:
                 raise ValueError(f"choice {a} not offered in assortment {s}")
         if np.any(self.revenues < 0):
             raise ValueError("revenues must be nonnegative")
-        self._cache: dict[int, tuple] = {}
+        self._max_item = max((s[-1] for s in self.assortments), default=0)
+        self._padded: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -72,23 +75,27 @@ class OfflineDataset:
             yield s, int(a), float(r)
 
     def _matrices(self, catalog: Catalog) -> tuple:
-        """Padded index/mask matrices for vectorized likelihood evaluation."""
-        key = id(catalog)
-        if key not in self._cache:
+        """Padded index/mask matrices for vectorized likelihood evaluation.
+
+        Built once per dataset; every call checks that the catalog has all
+        the items the records offer.
+        """
+        if self._padded is None:
             if self.n == 0:
                 raise ValueError("dataset is empty")
             max_k = max(len(s) for s in self.assortments)
             idx = np.zeros((self.n, max_k), dtype=int)
             mask = np.zeros((self.n, max_k), dtype=bool)
             for i, s in enumerate(self.assortments):
-                if s[-1] > catalog.n_items:
-                    raise ValueError(f"record {i} references item beyond catalog size")
                 idx[i, : len(s)] = np.asarray(s, dtype=int) - 1
                 mask[i, : len(s)] = True
             chosen = self.choices - 1  # -1 marks no purchase
-            # the catalog reference pins its id for the cache's lifetime
-            self._cache[key] = (catalog, (idx, mask, chosen))
-        return self._cache[key][1]
+            self._padded = (idx, mask, chosen)
+        if self._max_item > catalog.n_items:
+            raise ValueError(
+                f"dataset offers item {self._max_item} beyond the {catalog.n_items}-item catalog"
+            )
+        return self._padded
 
     # CSV format: header sample_id,assortment,choice,revenue with the
     # assortment as semicolon-joined sorted 1-based indices.
@@ -180,11 +187,10 @@ class FitOptions:
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    max_halvings: int = 60
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.max_halvings < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
 
@@ -278,7 +284,7 @@ def fit_mle(
             break  # the model sees no descent at float resolution
         step = 1.0
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = space.project(theta + step * direction)
             cand_nll = neg_log_likelihood(dataset, catalog, cand)
             if cand_nll <= nll + 1e-4 * step * slope:

@@ -17,6 +17,9 @@ program. The classic change of variables
 with preference scores v_j = exp(x_j . theta) turns it into the LP solved
 here; integral vertices make the inverse map gamma_j = w_j / (v_j w_0)
 exactly binary, so the optimal assortment is read off the LP solution.
+The LP always has the same shape (M + N inequality rows with right-hand
+side 0 and the one equality row sum w = 1), and the simplex here builds its
+tableau from that shape rather than from a general standard form.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ __all__ = [
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_MAX_PIVOTS = 50_000
 
 
 class SimplexError(RuntimeError):
-    """Simplex failed numerically (iteration cap or residual check)."""
+    """Simplex failed numerically (pivot cap, unbounded ray or residual check)."""
 
 
 class IntegralityError(RuntimeError):
@@ -108,16 +112,15 @@ class LpInstance:
                w_j - v_j w_0 <= 0                         (box rows)
                w >= 0
 
-    The upper box rows arrive multiplied through by v_j so no coefficient
-    needs a division by a potentially tiny preference score.
+    a_ub stacks the constraint rows over the box rows; every inequality has
+    right-hand side 0. The constraint rows divide by v_j, so at large
+    ||theta|| their coefficients span many orders of magnitude and the
+    simplex can fail numerically (SimplexError or IntegralityError).
     """
 
     v: np.ndarray
     objective: np.ndarray
     a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
 
     @property
     def n_items(self) -> int:
@@ -130,7 +133,6 @@ class LpSolution:
 
     w: np.ndarray
     objective: float
-    status: str
 
 
 def build_assortment_lp(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -> LpInstance:
@@ -143,18 +145,9 @@ def build_assortment_lp(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet
         raise ValueError("preference scores exp(x.theta) must be finite and positive")
     n = catalog.n_items
     objective = np.concatenate(([0.0], catalog.revenues))
-    a_eq = np.ones((1, n + 1))
-    b_eq = np.array([1.0])
     cons_rows = np.hstack([-cons.bounds[:, None], cons.coeffs / v[None, :]])
     box_rows = np.hstack([-v[:, None], np.eye(n)])
-    return LpInstance(
-        v=v,
-        objective=objective,
-        a_ub=np.vstack([cons_rows, box_rows]),
-        b_ub=np.zeros(cons.n_rows + n),
-        a_eq=a_eq,
-        b_eq=b_eq,
-    )
+    return LpInstance(v=v, objective=objective, a_ub=np.vstack([cons_rows, box_rows]))
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -164,17 +157,16 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
             tableau[i] -= tableau[i, col] * tableau[row]
 
 
-def _bland_iterate(
-    tableau: np.ndarray, basis: list[int], costs: np.ndarray, allowed: int, max_pivots: int
-) -> str:
+def _bland_iterate(tableau: np.ndarray, basis: list[int], costs: np.ndarray, allowed: int) -> None:
     """Run Bland's-rule simplex pivots on the tableau until optimal.
 
     costs covers every tableau column; only columns < allowed may enter the
-    basis (phase 2 bars the artificials this way). Returns "optimal" or
-    "unbounded"; raises SimplexError at the pivot cap.
+    basis (phase 2 bars the artificial this way). Both phases minimize over
+    a bounded polytope, so an unbounded ray, like the pivot cap, can only
+    be a numerical failure: either raises SimplexError.
     """
     m = tableau.shape[0]
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         y = costs[basis] @ tableau[:, :-1]
         reduced = costs[:allowed] - y[:allowed]
         entering = -1
@@ -183,7 +175,7 @@ def _bland_iterate(
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
+            return
         col = tableau[:, entering]
         leaving, best_ratio = -1, np.inf
         for i in range(m):
@@ -196,108 +188,60 @@ def _bland_iterate(
                 ):
                     leaving, best_ratio = i, ratio
         if leaving < 0:
-            return "unbounded"
+            raise SimplexError("unbounded ray on a bounded polytope; ill-conditioned instance")
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise SimplexError("pivot cap exceeded; instance appears ill-conditioned")
 
 
-def solve_standard_form(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    max_pivots: int = 50_000,
-) -> tuple[np.ndarray, str, float]:
-    """Minimize c.x over {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}.
+def solve_lp(lp: LpInstance) -> LpSolution:
+    """Solve the assortment LP and verify primal feasibility of the result.
 
     Dense two-phase primal simplex with Bland's rule throughout, which the
-    zero right-hand sides of the assortment LP (heavily degenerate) require
-    for guaranteed termination. Returns (x, status, objective).
+    zero right-hand sides (heavily degenerate) require for guaranteed
+    termination. Each inequality row starts with its slack basic at 0; the
+    row sum w = 1 holds the only artificial, which phase 1 drives out. A
+    negative bound b_i (an "at least" row) makes w = (1, 0..0) infeasible,
+    so phase 1 may take several pivots. Raises ValueError when the
+    constraint set admits no assortment, not even the empty one.
     """
-    n = len(c)
-    rows = []
-    slack_sign = []  # +1 slack, -1 surplus, 0 none (equality)
-    for a, b in zip(a_ub, b_ub):
-        if b >= 0:
-            rows.append((a, b, 1))
-        else:
-            rows.append((-a, -b, -1))
-    for a, b in zip(a_eq, b_eq):
-        rows.append((a, b, 0) if b >= 0 else (-a, -b, 0))
-    m = len(rows)
-    n_slack = sum(1 for _, _, kind in rows if kind != 0)
-    # artificials: equality rows and surplus (>=) rows lack a ready basis column
-    art_rows = [i for i, (_, _, kind) in enumerate(rows) if kind != 1]
-    n_art = len(art_rows)
-    total = n + n_slack + n_art
-    tableau = np.zeros((m, total + 1))
-    basis = [-1] * m
-    si = 0
-    ai = 0
-    for i, (a, b, kind) in enumerate(rows):
-        tableau[i, :n] = a
-        tableau[i, -1] = b
-        if kind != 0:
-            tableau[i, n + si] = float(kind)
-            if kind == 1:
-                basis[i] = n + si
-            si += 1
-        if kind != 1:
-            tableau[i, n + n_slack + ai] = 1.0
-            basis[i] = n + n_slack + ai
-            ai += 1
+    m_ub, n = lp.a_ub.shape
+    art = n + m_ub  # column of the artificial; slacks sit in n..art-1
+    tableau = np.zeros((m_ub + 1, art + 2))
+    tableau[:m_ub, :n] = lp.a_ub
+    tableau[:m_ub, n:art] = np.eye(m_ub)
+    tableau[m_ub, :n] = tableau[m_ub, art] = tableau[m_ub, -1] = 1.0
+    basis = list(range(n, art + 1))
 
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[n + n_slack :] = 1.0
-        status = _bland_iterate(tableau, basis, phase1, total, max_pivots)
-        if status != "optimal":
-            raise SimplexError("phase 1 did not terminate at an optimum")
-        if float(phase1[basis] @ tableau[:, -1]) > 1e-8:
-            return np.zeros(n), "infeasible", np.nan
-        # drive zero-valued artificials out of the basis; drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                pivot_col = next(
-                    (j for j in range(n + n_slack) if abs(tableau[i, j]) > _PIVOT_TOL), -1
-                )
-                if pivot_col < 0:
-                    keep[i] = False
-                else:
-                    _pivot(tableau, i, pivot_col)
-                    basis[i] = pivot_col
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
+    phase1 = np.zeros(art + 1)
+    phase1[art] = 1.0
+    _bland_iterate(tableau, basis, phase1, art + 1)
+    if art in basis:
+        i = basis.index(art)
+        if tableau[i, -1] > 1e-8:
+            raise ValueError("constraint set admits no assortment")
+        # drive the zero-valued artificial out; its row cannot vanish, since
+        # the slack columns keep [A_ub I; 1 0] at full row rank
+        cols = np.flatnonzero(np.abs(tableau[i, :art]) > _PIVOT_TOL)
+        if not cols.size:
+            raise SimplexError("equality row vanished; instance appears ill-conditioned")
+        _pivot(tableau, i, int(cols[0]))
+        basis[i] = int(cols[0])
 
-    phase2 = np.zeros(total)
-    phase2[:n] = c
-    status = _bland_iterate(tableau, basis, phase2, n + n_slack, max_pivots)
-    if status == "unbounded":
-        return np.zeros(n), "unbounded", -np.inf
-    x = np.zeros(total)
+    phase2 = np.zeros(art + 1)
+    phase2[:n] = -lp.objective
+    _bland_iterate(tableau, basis, phase2, art)
+    x = np.zeros(art + 1)
     x[basis] = tableau[:, -1]
-    return x[:n], "optimal", float(c @ x[:n])
-
-
-def solve_lp(lp: LpInstance, max_pivots: int = 50_000) -> LpSolution:
-    """Solve the assortment LP and verify primal feasibility of the result."""
-    w, status, neg_obj = solve_standard_form(
-        -lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, max_pivots=max_pivots
-    )
-    if status != "optimal":
-        return LpSolution(w=w, objective=np.nan, status=status)
+    w = x[:n]
     residual = max(
-        float(np.max(lp.a_ub @ w - lp.b_ub, initial=0.0)),
-        float(np.max(np.abs(lp.a_eq @ w - lp.b_eq))),
+        float(np.max(lp.a_ub @ w, initial=0.0)),
+        abs(float(w.sum()) - 1.0),
         float(-min(0.0, w.min())),
     )
     if residual > _FEAS_TOL:
         raise SimplexError(f"primal residual {residual:.3e} exceeds {_FEAS_TOL}")
-    return LpSolution(w=w, objective=-neg_obj, status="optimal")
+    return LpSolution(w=w, objective=float(lp.objective @ w))
 
 
 def recover_assortment(sol: LpSolution, v: np.ndarray, atol: float = 1e-6) -> Assortment:
@@ -306,8 +250,6 @@ def recover_assortment(sol: LpSolution, v: np.ndarray, atol: float = 1e-6) -> As
     Total unimodularity makes every vertex integral, so any gamma_j farther
     than atol from {0, 1} is treated as a solver bug rather than rounded.
     """
-    if sol.status != "optimal":
-        raise ValueError(f"cannot recover an assortment from status {sol.status!r}")
     w0 = float(sol.w[0])
     if w0 <= 1e-12:
         raise IntegralityError(f"degenerate LP solution with w_0 = {w0}")
@@ -368,8 +310,11 @@ def _top_k_assortment(catalog: Catalog, theta: np.ndarray, k: int) -> Assortment
 def best_assortment(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -> Assortment:
     """Revenue-maximizing assortment at theta.
 
-    Cardinality constraints take the exact top-K rule; every other
-    constraint set is built into the LP, solved, and recovered.
+    Cardinality constraints take the exact top-K rule, which stays exact up
+    to ||theta|| = 100 at least. Every other constraint set is built into
+    the LP, solved, and recovered; that route breaks down numerically at
+    large ||theta|| (from about 10 on), raising SimplexError or
+    IntegralityError, because the LP's constraint rows divide by v_j.
     """
     if cons.n_items != catalog.n_items:
         raise ValueError("constraint set and catalog disagree on the number of items")

@@ -65,10 +65,6 @@ class PastaOptions:
     gdls: GdlsOptions = field(default_factory=GdlsOptions)
     alpha_mode: str = "empirical"
     alpha_override: float | None = None
-    # theoretical-mode radius knobs, ignored in empirical mode
-    delta: float = 0.05
-    c_a: float = 1.0
-    alpha_factor: float = 1.0
     space: ParamSpace | None = None
     fit: FitOptions = field(default_factory=FitOptions)
 
@@ -182,9 +178,7 @@ def build_region(
             dim=catalog.dim,
             n=dataset.n,
             theta_max=space.theta_max,
-            delta=opts.delta,
-            c_a=opts.c_a,
-            factor=opts.alpha_factor,
+            delta=0.05,
         )
     return ConfidenceRegion.from_fit(fit, dataset, catalog, space, alpha), fit
 

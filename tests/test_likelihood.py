@@ -69,6 +69,12 @@ class TestNegLogLikelihood:
         with pytest.raises(ValueError):
             OfflineDataset([()], [0], [0.0])
 
+    def test_item_beyond_catalog_rejected_on_every_call(self):
+        ds = OfflineDataset([(1, 5)], [5], [1.0])
+        assert math.isfinite(neg_log_likelihood(ds, catalog_1d([0.0] * 6, [1.0] * 6), np.ones(1)))
+        with pytest.raises(ValueError):
+            neg_log_likelihood(ds, catalog_1d([0.0] * 4, [1.0] * 4), np.ones(1))
+
 
 class TestNllGradient:
     def test_zero_features(self):

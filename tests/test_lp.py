@@ -14,7 +14,6 @@ from pastaopt import (
     recover_assortment,
     solve_lp,
 )
-from pastaopt.lp import solve_standard_form
 from conftest import random_catalog
 
 
@@ -54,7 +53,6 @@ class TestHandInstances:
         cat = catalog_1d([0.0], [0.6])
         lp = build_assortment_lp(cat, np.array([1.0]), cardinality_constraints(1, 1))
         sol = solve_lp(lp)
-        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.3, abs=1e-12)
         assert np.allclose(sol.w, [0.5, 0.5], atol=1e-12)
         assert recover_assortment(sol, lp.v) == (1,)
@@ -85,21 +83,25 @@ class TestHandInstances:
         with pytest.raises(ValueError):
             build_assortment_lp(cat, np.array([1.0]), cardinality_constraints(1, 1))
 
+    def test_infeasible_set_rejected(self):
+        # at most 0 and at least 1 of items 1-2: not even the empty set is admitted
+        cat = catalog_1d([0.0, 0.5, -0.5], [0.6, 0.5, 0.4])
+        coeffs = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+        cons = ConstraintSet(coeffs=coeffs, bounds=np.array([0.0, -1.0]))
+        lp = build_assortment_lp(cat, np.array([1.0]), cons)
+        with pytest.raises(ValueError):
+            solve_lp(lp)
+
 
 class TestRecovery:
     def test_degenerate_w0_rejected(self):
-        sol = LpSolution(w=np.array([0.0, 1.0]), objective=0.5, status="optimal")
+        sol = LpSolution(w=np.array([0.0, 1.0]), objective=0.5)
         with pytest.raises(IntegralityError):
             recover_assortment(sol, np.array([1.0]))
 
     def test_non_integral_rejected(self):
-        sol = LpSolution(w=np.array([0.5, 0.25]), objective=0.1, status="optimal")
+        sol = LpSolution(w=np.array([0.5, 0.25]), objective=0.1)
         with pytest.raises(IntegralityError):
-            recover_assortment(sol, np.array([1.0]))
-
-    def test_non_optimal_rejected(self):
-        sol = LpSolution(w=np.array([1.0, 0.0]), objective=np.nan, status="infeasible")
-        with pytest.raises(ValueError):
             recover_assortment(sol, np.array([1.0]))
 
 
@@ -119,9 +121,18 @@ class TestBestAssortment:
 
     def test_matches_brute_force_on_random_instances(self, rng):
         # unit-scale theta, large-norm theta (weights spanning many orders of
-        # magnitude), and a two-block constraint set that takes the LP route
-        cases = [(None, False), (10.0, False), (20.0, False), (40.0, False), (None, True)]
-        for norm, blocks in cases:
+        # magnitude), and two sets that take the LP route: two blocks, and at
+        # most k items with at least one of items 1-2 (phase 1 pivots past
+        # the empty assortment)
+        cases = [
+            (None, "card"),
+            (10.0, "card"),
+            (20.0, "card"),
+            (40.0, "card"),
+            (None, "blocks"),
+            (None, "at_least"),
+        ]
+        for norm, kind in cases:
             for _ in range(40):
                 n = int(rng.integers(2, 9))
                 k = int(rng.integers(1, min(n, 4) + 1))
@@ -129,12 +140,16 @@ class TestBestAssortment:
                 cat = random_catalog(rng, n, d)
                 theta = rng.standard_normal(d)
                 cons = cardinality_constraints(n, k)
-                if blocks:
+                if kind == "blocks":
                     half = n // 2
                     k1, k2 = int(rng.integers(1, half + 1)), int(rng.integers(1, n - half + 1))
                     coeffs = np.zeros((2, n))
                     coeffs[0, :half] = coeffs[1, half:] = 1.0
                     cons = ConstraintSet(coeffs=coeffs, bounds=np.array([k1, k2], dtype=float))
+                elif kind == "at_least":
+                    coeffs = np.zeros((2, n))
+                    coeffs[0], coeffs[1, :2] = 1.0, -1.0
+                    cons = ConstraintSet(coeffs=coeffs, bounds=np.array([k, -1.0]))
                 if norm is not None:
                     theta *= norm / np.linalg.norm(theta)
                 s_lp = best_assortment(cat, theta, cons)
@@ -174,40 +189,3 @@ class TestBruteForce:
         cat = random_catalog(rng, 21, 2)
         with pytest.raises(ValueError):
             brute_force_best(cat, rng.standard_normal(2), cardinality_constraints(21, 2))
-
-
-class TestSimplexCore:
-    def test_unbounded_detected(self):
-        # minimize -x with no upper bound on x
-        x, status, _ = solve_standard_form(
-            np.array([-1.0]),
-            np.zeros((0, 1)),
-            np.zeros(0),
-            np.zeros((0, 1)),
-            np.zeros(0),
-        )
-        assert status == "unbounded"
-
-    def test_infeasible_detected(self):
-        # x >= 0 with -x >= 1 has no solution
-        x, status, _ = solve_standard_form(
-            np.array([1.0]),
-            np.array([[1.0]]),
-            np.array([-1.0]),
-            np.zeros((0, 1)),
-            np.zeros(0),
-        )
-        assert status == "infeasible"
-
-    def test_equality_and_inequality_mix(self):
-        # minimize 2x + y st x + y = 1, y <= 0.4: cheapest to fill y first
-        x, status, obj = solve_standard_form(
-            np.array([2.0, 1.0]),
-            np.array([[0.0, 1.0]]),
-            np.array([0.4]),
-            np.array([[1.0, 1.0]]),
-            np.array([1.0]),
-        )
-        assert status == "optimal"
-        assert obj == pytest.approx(1.6, abs=1e-12)
-        assert np.allclose(x, [0.6, 0.4], atol=1e-12)
