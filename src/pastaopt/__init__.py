@@ -71,7 +71,6 @@ from .model import (
 )
 from .rng import derive_rng, derive_seed
 from .solver import (
-    GdlsOptions,
     GdlsStep,
     PastaOptions,
     SolveTrace,

@@ -55,48 +55,58 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of offline records")
     gen.add_argument("--p", type=float, required=True, help="mass on the optimal assortment")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--theta-mode", choices=["unit-sphere", "iid-uniform"], default="unit-sphere")
-    gen.add_argument("--tau", type=float, default=-0.6)
+    gen.add_argument(
+        "--theta-mode",
+        choices=["unit-sphere", "iid-uniform"],
+        default=InstanceConfig.theta_star_mode,
+    )
+    gen.add_argument("--tau", type=float, default=InstanceConfig.tau)
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     fit = sub.add_parser("fit", help="fit the preference vector by maximum likelihood")
     fit.add_argument("--instance", type=Path, required=True)
     fit.add_argument("--data", type=Path, required=True)
-    fit.add_argument("--theta-max", type=float, default=100.0)
+    fit.add_argument("--theta-max", type=float, default=ParamSpace.theta_max)
     fit.add_argument(
         "--grad-tol",
         type=float,
-        default=1e-6,
+        default=FitOptions.grad_tol,
         help="stop when the projected-gradient residual ||theta - P(theta - grad)|| "
         "reaches this (the gradient norm away from the theta-max boundary); "
         "reported as grad_norm",
     )
-    fit.add_argument("--max-iters", type=int, default=5000)
+    fit.add_argument("--max-iters", type=int, default=FitOptions.max_iters)
     fit.add_argument("--out", type=Path, default=None, help="write the fit JSON here")
 
     solve = sub.add_parser("solve", help="choose an assortment from offline data")
     solve.add_argument("--method", choices=["pasta", "baseline"], required=True)
     solve.add_argument("--instance", type=Path, required=True)
     solve.add_argument("--data", type=Path, required=True)
-    solve.add_argument("--alpha-mode", choices=["empirical", "theoretical"], default="empirical")
-    solve.add_argument("--T", type=int, default=30, help="outer iterations")
-    solve.add_argument("--theta-max", type=float, default=100.0)
+    solve.add_argument(
+        "--alpha-mode", choices=["empirical", "theoretical"], default=PastaOptions.alpha_mode
+    )
+    solve.add_argument(
+        "--T", type=int, default=PastaOptions.max_outer_iters, help="outer iterations"
+    )
+    solve.add_argument("--theta-max", type=float, default=ParamSpace.theta_max)
     solve.add_argument("--out", type=Path, default=None, help="write the result JSON here")
     solve.add_argument("--trace", type=Path, default=None, help="write the iteration trace CSV")
 
     sweep = sub.add_parser("sweep", help="replicated comparison sweep")
     sweep.add_argument("--sweep", choices=["n", "p", "d"], required=True)
     sweep.add_argument("--values", type=str, required=True, help="comma-separated sweep values")
-    sweep.add_argument("--n-items", type=int, default=40)
-    sweep.add_argument("--card", type=int, default=8)
-    sweep.add_argument("--dim", type=int, default=16)
-    sweep.add_argument("--n", type=int, default=150)
-    sweep.add_argument("--p", type=float, default=0.9)
+    sweep.add_argument("--n-items", type=int, default=SweepConfig.n_items)
+    sweep.add_argument("--card", type=int, default=SweepConfig.k)
+    sweep.add_argument("--dim", type=int, default=SweepConfig.dim)
+    sweep.add_argument("--n", type=int, default=SweepConfig.n)
+    sweep.add_argument("--p", type=float, default=SweepConfig.p)
     sweep.add_argument("--theta-mode", choices=["unit-sphere", "iid-uniform"], default=None)
-    sweep.add_argument("--reps", type=int, default=50)
+    sweep.add_argument("--reps", type=int, default=SweepConfig.replications)
     sweep.add_argument("--seed", type=int, required=True)
-    sweep.add_argument("--alpha-mode", choices=["empirical", "theoretical"], default="empirical")
-    sweep.add_argument("--T", type=int, default=30)
+    sweep.add_argument(
+        "--alpha-mode", choices=["empirical", "theoretical"], default=PastaOptions.alpha_mode
+    )
+    sweep.add_argument("--T", type=int, default=PastaOptions.max_outer_iters)
     sweep.add_argument("--out", type=Path, required=True)
 
     plot = sub.add_parser("plot", help="render a results CSV as an SVG chart")

@@ -10,6 +10,8 @@ guaranteed property of the log.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -156,17 +158,23 @@ def generate_instance(cfg: InstanceConfig) -> Instance:
 @dataclass(frozen=True)
 class SamplingDesign:
     """Logging policy: mass p on the optimal assortment, the remaining
-    (1 - p) split evenly over every other assortment of size 1..k."""
+    (1 - p) split evenly over every other assortment of size 1..k.
+
+    size_totals holds the running totals of C(n_items, j) for j = 1..k; its
+    last entry is n_assortments."""
 
     p: float
     n_items: int
     k: int
     n_assortments: int = field(init=False)
+    size_totals: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
         object.__setattr__(self, "n_assortments", count_assortments(self.n_items, self.k))
+        totals = itertools.accumulate(math.comb(self.n_items, j) for j in range(1, self.k + 1))
+        object.__setattr__(self, "size_totals", tuple(totals))
 
     def mass_of(self, s: Iterable[int], s_star: Iterable[int]) -> float:
         s, s_star = as_assortment(s), as_assortment(s_star)
@@ -198,15 +206,10 @@ def sample_assortment(
     """
     if rng.random() < design.p:
         return instance.s_star
-    n, k = design.n_items, design.k
-    cumulative = []
-    total = 0
-    for j in range(1, k + 1):
-        total += math.comb(n, j)
-        cumulative.append(total)
+    n = design.n_items
     while True:
-        t = _uniform_below(rng, total)
-        size = 1 + next(i for i, c in enumerate(cumulative) if t < c)
+        t = _uniform_below(rng, design.n_assortments)
+        size = 1 + bisect.bisect_right(design.size_totals, t)
         s = as_assortment(int(j) + 1 for j in rng.choice(n, size=size, replace=False))
         if s != instance.s_star:
             return s

@@ -75,8 +75,9 @@ class ResultRow:
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep study: a base scenario plus the variable, its values, and
-    the replication count. Failure of a replication produces NaN marker rows
-    instead of aborting the sweep."""
+    the replication count. Instances take InstanceConfig's default utility
+    threshold tau and revenue range. Failure of a replication produces NaN
+    marker rows instead of aborting the sweep."""
 
     sweep_variable: str
     values: tuple
@@ -87,9 +88,6 @@ class SweepConfig:
     n: int = 150
     p: float = 0.9
     theta_star_mode: str = "unit-sphere"
-    tau: float = -0.6
-    r_lo: float = 0.5
-    r_hi: float = 0.8
     replications: int = 50
     pasta: PastaOptions = field(default_factory=PastaOptions)
 
@@ -122,9 +120,6 @@ class SweepConfig:
             dim=dim,
             seed=0,
             theta_star_mode=self.theta_star_mode,
-            tau=self.tau,
-            r_lo=self.r_lo,
-            r_hi=self.r_hi,
         )
         return cfg, p, n
 
@@ -154,9 +149,7 @@ def _run_replication(cfg: SweepConfig, vi: int, value, rep: int) -> list[ResultR
         )
     )
     t0 = time.perf_counter()
-    s_base = baseline_solve(
-        dataset, instance.catalog, cons, space=cfg.pasta.space, fit_opts=cfg.pasta.fit
-    )
+    s_base = baseline_solve(dataset, instance.catalog, cons, space=cfg.pasta.space)
     ms_base = (time.perf_counter() - t0) * 1e3
     rows.append(
         ResultRow(

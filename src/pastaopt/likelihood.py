@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 60  # backtracking steps per fit iteration; 2^-60 is below float resolution
+_DELTA = 0.05  # confidence level of the theoretical radius
 
 
 class OfflineDataset:
@@ -313,24 +314,22 @@ def confidence_radius(
     dim: int | None = None,
     n: int | None = None,
     theta_max: float | None = None,
-    delta: float | None = None,
-    c_a: float = 1.0,
-    factor: float = 1.0,
 ) -> float:
     """Radius alpha of the likelihood-ratio confidence region.
 
-    mode "empirical": 2 * (NLL at the MLE). mode "theoretical": the
-    rate-shaped radius factor * (c_a * dim / n) * log(theta_max / delta),
-    with the constant factor and delta supplied by the caller.
+    mode "empirical": 2 * (NLL at the MLE), which needs nll_at_ml. mode
+    "theoretical": the rate-shaped radius (dim / n) * log(theta_max / delta)
+    at the fixed confidence level delta = 0.05, which needs dim, n and
+    theta_max. Arguments the mode does not use are ignored.
     """
     if mode == "empirical":
         if nll_at_ml is None:
             raise ValueError("empirical mode needs nll_at_ml")
         alpha = 2.0 * nll_at_ml
     elif mode == "theoretical":
-        if None in (dim, n, theta_max, delta):
-            raise ValueError("theoretical mode needs dim, n, theta_max, delta")
-        alpha = factor * (c_a * dim / n) * math.log(theta_max / delta)
+        if None in (dim, n, theta_max):
+            raise ValueError("theoretical mode needs dim, n, theta_max")
+        alpha = (dim / n) * math.log(theta_max / _DELTA)
     else:
         raise ValueError(f"unknown confidence radius mode {mode!r}")
     if not alpha > 0:

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Assortment, Catalog, as_assortment
+from .model import Assortment, Catalog, _stable_weights, as_assortment
 
 __all__ = [
     "ConstraintSet",
@@ -260,15 +260,6 @@ def recover_assortment(sol: LpSolution, v: np.ndarray, atol: float = 1e-6) -> As
     return tuple(int(j + 1) for j in np.flatnonzero(gamma > 0.5))
 
 
-def _shifted_weights(catalog: Catalog, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(u_j - m) for every item and the no-purchase weight exp(-m),
-    m = max(0, max u): revenue ratios are invariant to the shared shift and
-    every weight stays in (0, 1] even for extreme theta."""
-    u = catalog.utilities(theta)
-    shift = max(0.0, float(u.max()))
-    return np.exp(u - shift), float(np.exp(-shift))
-
-
 def _cardinality_bound(cons: ConstraintSet) -> int | None:
     """K when cons is the single all-ones row sum_j gamma_j <= K with K >= 1."""
     if cons.n_rows == 1 and np.all(cons.coeffs == 1.0) and cons.bounds[0] >= 1:
@@ -288,7 +279,7 @@ def _top_k_assortment(catalog: Catalog, theta: np.ndarray, k: int) -> Assortment
     so weights spanning many orders of magnitude keep their order. Ties go
     to the lower index.
     """
-    w, w0 = _shifted_weights(catalog, theta)
+    w, w0 = _stable_weights(catalog.utilities(theta))
     r = catalog.revenues
     best = np.zeros(len(w), dtype=bool)
     seen = set()  # guards termination against float ties between two sets
@@ -336,7 +327,7 @@ def brute_force_best(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -
         raise ValueError("brute force enumeration is limited to 20 items")
     if cons.n_items != n:
         raise ValueError("constraint set and catalog disagree on the number of items")
-    w, w0 = _shifted_weights(catalog, theta)
+    w, w0 = _stable_weights(catalog.utilities(theta))
     rw = catalog.revenues * w
     best_s: Assortment | None = None
     best_v = -np.inf

@@ -175,15 +175,13 @@ class ChoiceDistribution:
         return float(self.item_probs[self.items.index(outcome)])
 
 
-def _stable_weights(catalog: Catalog, s: Assortment, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(x_i.theta - m) for i in s and exp(-m), with m = max(0, max utility).
+def _stable_weights(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(u - m) and the no-purchase weight exp(-m), m = max(0, max u).
 
-    Shifting by the shared m keeps every exponential in (0, 1], so the
-    normalized probabilities are exact even for extreme theta.
+    Shifting by the shared m keeps every exponential in (0, 1] even for
+    extreme theta, and leaves every probability and revenue ratio unchanged.
     """
-    idx = np.asarray(s, dtype=int) - 1
-    u = catalog.utilities(theta)[idx]
-    m = max(0.0, float(u.max())) if len(s) else 0.0
+    m = max(0.0, float(u.max())) if len(u) else 0.0
     return np.exp(u - m), float(np.exp(-m))
 
 
@@ -194,7 +192,7 @@ def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) 
     P(no purchase) takes the remaining 1 / (1 + sum_j ...) mass.
     """
     s = catalog.check_assortment(s)
-    w, w0 = _stable_weights(catalog, s, theta)
+    w, w0 = _stable_weights(catalog.utilities(theta)[np.asarray(s, dtype=int) - 1])
     denom = w0 + w.sum()
     return ChoiceDistribution(items=s, item_probs=w / denom, no_purchase=w0 / denom)
 

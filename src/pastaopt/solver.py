@@ -5,8 +5,9 @@ estimate-then-optimize baseline.
 The pessimistic program maximizes, over assortments, the worst-case
 expected revenue over the likelihood-ratio confidence region. The solver
 alternates (1) the exact assortment step at the current preference
-vector with (2) a few gradient-descent steps on the revenue that shrink
-their step size until the iterate stays inside the region.
+vector with (2) GDLS: two gradient-descent steps on the revenue, each
+started at step size 0.01 and halved until the iterate stays inside the
+region.
 """
 
 from __future__ import annotations
@@ -18,19 +19,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .likelihood import (
-    ConfidenceRegion,
-    FitOptions,
-    MleFit,
-    OfflineDataset,
-    confidence_radius,
-    fit_mle,
-)
+from .likelihood import ConfidenceRegion, OfflineDataset, confidence_radius, fit_mle
 from .lp import ConstraintSet, best_assortment
 from .model import Assortment, Catalog, ParamSpace, expected_revenue, expected_revenue_gradient
 
 __all__ = [
-    "GdlsOptions",
     "PastaOptions",
     "GdlsStep",
     "SolveTrace",
@@ -40,33 +33,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GdlsOptions:
-    """Inner gradient-descent controls: n_steps steps, each line-searched
-    from init_step by repeated multiplication with shrink until feasible."""
-
-    n_steps: int = 2
-    init_step: float = 0.01
-    shrink: float = 0.5
-    max_halvings: int = 50
-
-    def __post_init__(self):
-        if self.n_steps < 1 or self.max_halvings < 1:
-            raise ValueError("n_steps and max_halvings must be positive")
-        if self.init_step <= 0 or not 0 < self.shrink < 1:
-            raise ValueError("init_step must be > 0 and shrink inside (0, 1)")
+# GDLS: gradient steps per call, the first trial step size, the factor that
+# shrinks it until the iterate is feasible, and the cap on shrinks per step
+_GDLS_STEPS = 2
+_GDLS_INIT_STEP = 0.01
+_GDLS_SHRINK = 0.5
+_GDLS_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
 class PastaOptions:
-    """Outer alternation controls and confidence-region configuration."""
+    """Outer alternation controls and confidence-region configuration.
+
+    alpha_mode picks the radius rule of confidence_radius; alpha_override,
+    when set, replaces that radius outright. space defaults to ParamSpace's
+    default ball in the catalog's dimension. The MLE fit runs with the
+    FitOptions defaults.
+    """
 
     max_outer_iters: int = 30
-    gdls: GdlsOptions = field(default_factory=GdlsOptions)
     alpha_mode: str = "empirical"
     alpha_override: float | None = None
     space: ParamSpace | None = None
-    fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -79,7 +67,7 @@ class PastaOptions:
 class GdlsStep:
     """One inner descent step: the step size actually used and how many
     shrinks the feasibility search needed. accepted=False means the search
-    exhausted max_halvings and the iterate stayed put."""
+    exhausted the halving cap and the iterate stayed put."""
 
     step_index: int
     beta: float
@@ -117,34 +105,33 @@ def gdls(
     s: Iterable[int],
     region: ConfidenceRegion,
     theta_init: np.ndarray,
-    opts: GdlsOptions | None = None,
+    *,
     history: list[GdlsStep] | None = None,
 ) -> np.ndarray:
     """Descend the expected revenue of s within the confidence region.
 
-    Runs opts.n_steps gradient steps; each starts from step size
-    opts.init_step and multiplies by opts.shrink until the candidate lies in
-    the region. A step whose search exhausts max_halvings is skipped, so the
-    result is always feasible. theta_init must itself be feasible.
+    Runs 2 gradient steps; each starts from step size 0.01 and halves it
+    until the candidate lies in the region. A step whose search exhausts 50
+    halvings is skipped, so the result is always feasible. theta_init must
+    itself be feasible. Each step is appended to history when one is given.
     """
-    opts = opts or GdlsOptions()
     s = catalog.check_assortment(s)
     if not s:
         raise ValueError("gdls needs a nonempty assortment")
     theta = np.asarray(theta_init, dtype=float)
     if not region.contains(theta):
         raise ValueError("theta_init lies outside the confidence region")
-    for step_index in range(1, opts.n_steps + 1):
+    for step_index in range(1, _GDLS_STEPS + 1):
         grad = expected_revenue_gradient(catalog, s, theta)
-        beta = opts.init_step
+        beta = _GDLS_INIT_STEP
         halvings = 0
         accepted = False
-        while halvings <= opts.max_halvings:
+        while halvings <= _GDLS_MAX_HALVINGS:
             cand = theta - beta * grad
             if region.contains(cand):
                 accepted = True
                 break
-            beta *= opts.shrink
+            beta *= _GDLS_SHRINK
             halvings += 1
         if history is not None:
             history.append(GdlsStep(step_index, beta, halvings, accepted))
@@ -153,34 +140,25 @@ def gdls(
     return theta
 
 
-def _resolve_space(catalog: Catalog, space: ParamSpace | None) -> ParamSpace:
-    space = space or ParamSpace(dim=catalog.dim)
-    if space.dim != catalog.dim:
-        raise ValueError("parameter space dimension must match catalog features")
-    return space
-
-
 def build_region(
     dataset: OfflineDataset,
     catalog: Catalog,
     opts: PastaOptions,
-) -> tuple[ConfidenceRegion, MleFit]:
+) -> ConfidenceRegion:
     """Fit the MLE and assemble the confidence region per the options."""
-    space = _resolve_space(catalog, opts.space)
-    fit = fit_mle(dataset, catalog, space, opts.fit)
+    space = opts.space or ParamSpace(dim=catalog.dim)
+    fit = fit_mle(dataset, catalog, space)
     if opts.alpha_override is not None:
         alpha = float(opts.alpha_override)
-    elif opts.alpha_mode == "empirical":
-        alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
     else:
         alpha = confidence_radius(
-            "theoretical",
+            opts.alpha_mode,
+            nll_at_ml=fit.nll,
             dim=catalog.dim,
             n=dataset.n,
             theta_max=space.theta_max,
-            delta=0.05,
         )
-    return ConfidenceRegion.from_fit(fit, dataset, catalog, space, alpha), fit
+    return ConfidenceRegion.from_fit(fit, dataset, catalog, space, alpha)
 
 
 def pasta_solve(
@@ -197,13 +175,13 @@ def pasta_solve(
     once the pair (assortment, theta) stops moving.
     """
     opts = opts or PastaOptions()
-    region, fit = build_region(dataset, catalog, opts)
-    trace = SolveTrace(theta_ml=fit.theta, alpha=region.alpha)
-    theta = fit.theta
+    region = build_region(dataset, catalog, opts)
+    trace = SolveTrace(theta_ml=region.theta_ml, alpha=region.alpha)
+    theta = region.theta_ml
     s_prev: Assortment | None = None
     for t in range(1, opts.max_outer_iters + 1):
         s_t = best_assortment(catalog, theta, cons)
-        theta_t = gdls(catalog, s_t, region, theta, opts.gdls)
+        theta_t = gdls(catalog, s_t, region, theta)
         trace.iterations.append((t, s_t, theta_t, expected_revenue(catalog, s_t, theta_t)))
         if s_prev == s_t and float(np.linalg.norm(theta_t - theta)) < 1e-12:
             trace.converged_early = True
@@ -221,9 +199,7 @@ def baseline_solve(
     catalog: Catalog,
     cons: ConstraintSet,
     space: ParamSpace | None = None,
-    fit_opts: FitOptions | None = None,
 ) -> Assortment:
     """Estimate-then-optimize: revenue-optimal assortment at the plain MLE."""
-    space = _resolve_space(catalog, space)
-    fit = fit_mle(dataset, catalog, space, fit_opts)
+    fit = fit_mle(dataset, catalog, space)
     return best_assortment(catalog, fit.theta, cons)

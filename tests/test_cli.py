@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from pastaopt.cli import main
+from pastaopt import FitOptions, InstanceConfig, ParamSpace, PastaOptions, SweepConfig
+from pastaopt.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -135,6 +136,34 @@ class TestUsage:
 
     def test_unknown_flag_is_validation_error(self):
         assert run_cli("diag", "--bogus") == 1
+
+    def test_defaults_come_from_the_library(self):
+        parse = _build_parser().parse_args
+        instance = InstanceConfig(n_items=1, k=1, dim=1, seed=0)
+        fit, space, pasta = FitOptions(), ParamSpace(dim=1), PastaOptions()
+        sweep = SweepConfig(sweep_variable="n", values=(1,), master_seed=0)
+
+        gen = parse(
+            ["generate", "--n-items", "6", "--card", "2", "--dim", "2",
+             "--n", "10", "--p", "0.5", "--seed", "1"]
+        )
+        assert (gen.tau, gen.theta_mode) == (instance.tau, instance.theta_star_mode)
+
+        fit_args = parse(["fit", "--instance", "i.json", "--data", "d.csv"])
+        assert (fit_args.theta_max, fit_args.grad_tol, fit_args.max_iters) == (
+            space.theta_max, fit.grad_tol, fit.max_iters
+        )
+
+        solve = parse(["solve", "--method", "pasta", "--instance", "i.json", "--data", "d.csv"])
+        assert (solve.alpha_mode, solve.T, solve.theta_max) == (
+            pasta.alpha_mode, pasta.max_outer_iters, space.theta_max
+        )
+
+        sw = parse(["sweep", "--sweep", "n", "--values", "10", "--seed", "1", "--out", "r.csv"])
+        assert (sw.n_items, sw.card, sw.dim, sw.n, sw.p, sw.reps) == (
+            sweep.n_items, sweep.k, sweep.dim, sweep.n, sweep.p, sweep.replications
+        )
+        assert (sw.alpha_mode, sw.T) == (sweep.pasta.alpha_mode, sweep.pasta.max_outer_iters)
 
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0

@@ -144,10 +144,8 @@ class TestConfidenceRadius:
         assert confidence_radius("empirical", nll_at_ml=0.8) == pytest.approx(1.6, abs=1e-15)
 
     def test_theoretical_formula(self):
-        got = confidence_radius(
-            "theoretical", dim=2, n=100, theta_max=1.0, delta=0.1, c_a=10.0, factor=1.0
-        )
-        assert got == pytest.approx((10 * 2 / 100) * math.log(1.0 / 0.1), rel=1e-12)
+        got = confidence_radius("theoretical", dim=2, n=100, theta_max=1.0)
+        assert got == pytest.approx((2 / 100) * math.log(1.0 / 0.05), rel=1e-12)
 
     def test_no_purchase_only_dataset(self):
         cat = Catalog(features=np.zeros((1, 1)), revenues=np.array([1.0]))

@@ -7,7 +7,6 @@ import pytest
 from pastaopt import (
     Catalog,
     ConfidenceRegion,
-    GdlsOptions,
     InstanceConfig,
     OfflineDataset,
     ParamSpace,
@@ -27,7 +26,7 @@ from pastaopt import (
     neg_log_likelihood,
     pasta_solve,
 )
-from pastaopt.solver import build_region
+from pastaopt.solver import _GDLS_INIT_STEP, _GDLS_SHRINK, _GDLS_STEPS, build_region
 
 
 def small_problem(seed=101, n=80, n_items=8, k=3, dim=3, p=0.8):
@@ -78,31 +77,33 @@ class TestGdls:
         fit = fit_mle(ds, inst.catalog, space)
         region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha=50.0)
         s = best_assortment(inst.catalog, fit.theta, cons)
-        out = gdls(inst.catalog, s, region, fit.theta, GdlsOptions(n_steps=2))
+        out = gdls(inst.catalog, s, region, fit.theta)
         assert expected_revenue(inst.catalog, s, out) <= expected_revenue(
             inst.catalog, s, fit.theta
         ) + 1e-12
         assert region.contains(out)
 
     def test_accepted_step_is_first_feasible_in_sequence(self):
-        # alpha small enough that the initial step is infeasible and a few
-        # shrinks are needed; verify beta is exactly the first feasible one
+        # alpha small enough that every step's initial size is infeasible and
+        # shrinks are needed; verify each beta is exactly the first feasible one
         cat, ds, theta_ml, nll, space = exact_1d_region()
-        opts = GdlsOptions(n_steps=1, init_step=5.0)
         region = ConfidenceRegion(
-            theta_ml=theta_ml, alpha=0.02, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
+            theta_ml=theta_ml, alpha=1e-9, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
         )
         history = []
-        out = gdls(cat, (1,), region, theta_ml, opts, history=history)
-        (step,) = history
-        assert step.accepted and step.halvings > 0
-        grad = expected_revenue_gradient(cat, (1,), theta_ml)
-        for k in range(step.halvings + 1):
-            beta_k = opts.init_step * opts.shrink**k
-            feasible = region.contains(theta_ml - beta_k * grad)
-            assert feasible == (k == step.halvings)
-        assert step.beta == pytest.approx(opts.init_step * opts.shrink**step.halvings)
-        assert np.array_equal(out, theta_ml - step.beta * grad)
+        out = gdls(cat, (1,), region, theta_ml, history=history)
+        assert len(history) == _GDLS_STEPS
+        theta = theta_ml
+        for step in history:
+            assert step.accepted and step.halvings > 0
+            grad = expected_revenue_gradient(cat, (1,), theta)
+            for k in range(step.halvings + 1):
+                beta_k = _GDLS_INIT_STEP * _GDLS_SHRINK**k
+                feasible = region.contains(theta - beta_k * grad)
+                assert feasible == (k == step.halvings)
+            assert step.beta == pytest.approx(_GDLS_INIT_STEP * _GDLS_SHRINK**step.halvings)
+            theta = theta - step.beta * grad
+        assert np.array_equal(out, theta)
 
     def test_infeasible_start_rejected(self):
         cat, ds, theta_ml, nll, space = exact_1d_region()
@@ -120,8 +121,7 @@ class TestGdls:
         fit = fit_mle(ds, inst.catalog, space)
         region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha=100.0)
         s = best_assortment(inst.catalog, fit.theta, cons)
-        opts = GdlsOptions()
-        out = gdls(inst.catalog, s, region, fit.theta, opts)
+        out = gdls(inst.catalog, s, region, fit.theta)
         v_init = expected_revenue(inst.catalog, s, fit.theta)
         v_out = expected_revenue(inst.catalog, s, out)
         assert v_out <= v_init + 1e-12
@@ -130,7 +130,7 @@ class TestGdls:
         grad0 = abs(
             float(expected_revenue_gradient(inst.catalog, s, fit.theta)[0])
         )
-        reach = 2 * opts.init_step * max(grad0, 1e-9) * 1.5
+        reach = _GDLS_STEPS * _GDLS_INIT_STEP * max(grad0, 1e-9) * 1.5
         grid = np.linspace(fit.theta[0] - reach, fit.theta[0] + reach, 401)
         feasible_vals = [
             expected_revenue(inst.catalog, s, np.array([t]))
@@ -159,13 +159,21 @@ class TestPastaSolve:
         inst, ds, cons = small_problem(seed=23)
         opts = PastaOptions()
         s_pasta, trace = pasta_solve(ds, inst.catalog, cons, opts)
-        region, fit = build_region(ds, inst.catalog, opts)
-        assert np.array_equal(fit.theta, trace.theta_ml)
+        region = build_region(ds, inst.catalog, opts)
+        assert np.array_equal(region.theta_ml, trace.theta_ml)
         assert region.alpha == trace.alpha
         for _, s_t, theta_t, _ in trace.iterations:
             assert region.contains(theta_t)
             assert cons.admits(s_t)
         assert s_pasta == trace.final_assortment == trace.iterations[-1][1]
+
+    def test_space_dimension_mismatch_rejected(self):
+        inst, ds, cons = small_problem(seed=26)
+        wrong = ParamSpace(dim=inst.catalog.dim + 1)
+        with pytest.raises(ValueError):
+            pasta_solve(ds, inst.catalog, cons, PastaOptions(space=wrong))
+        with pytest.raises(ValueError):
+            baseline_solve(ds, inst.catalog, cons, space=wrong)
 
     def test_deterministic(self):
         inst, ds, cons = small_problem(seed=24)
