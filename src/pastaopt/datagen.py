@@ -35,7 +35,12 @@ __all__ = [
     "generate_dataset",
 ]
 
+# per item, the draws that pass the norm guard before generate_instance gives up
 _MAX_REJECTIONS = 100_000
+# rows per feature draw block: 512 KiB of float64 at dim 64
+_FEATURE_BLOCK = 1024
+# widens the vectorized screen so it admits every row the scalar test accepts
+_SCREEN_SLACK = 1e-9
 
 
 def count_assortments(n_items: int, k: int) -> int:
@@ -118,6 +123,52 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
             return z / norm
 
 
+def _draw_features(
+    rng: np.random.Generator, theta_star: np.ndarray, n_items: int, tau: float
+) -> np.ndarray:
+    """Item features by rejection: the i-th row is the first unit vector x
+    after row i-1's with x . theta_star <= tau.
+
+    Gives the bytes of drawing one _unit_vector(rng, dim) per attempt. Row j
+    of a standard_normal((B, dim)) block holds the values the j-th sequential
+    draw would take, so rng must have no other consumer. The vectorized
+    screen admits a superset of the accepted rows; each admitted row is
+    re-checked, and stored, with the scalar arithmetic of _unit_vector.
+    _MAX_REJECTIONS caps, per item, the draws that pass the norm guard, and
+    the count runs across block boundaries.
+    """
+    dim = theta_star.shape[0]
+    features = np.empty((n_items, dim))
+    item = attempts = 0  # attempts: guarded draws spent on `item` in earlier blocks
+    while True:
+        z = rng.standard_normal((_FEATURE_BLOCK, dim))
+        norms = np.linalg.norm(z, axis=1)
+        # the row-wise norm may differ from the scalar one in its last bits,
+        # so rows near the guard are settled with the scalar norm
+        valid = norms > 2e-12
+        for j in np.flatnonzero(~valid):
+            valid[j] = float(np.linalg.norm(z[j])) > 1e-12
+        rank = np.cumsum(valid)  # rank[j]: guarded draws in z[: j + 1]
+        used = 0  # rank of the row that closed the previous item in this block
+        screen = valid & (z @ theta_star <= (tau + _SCREEN_SLACK) * norms)
+        for j in np.flatnonzero(screen):
+            x = z[j] / float(np.linalg.norm(z[j]))
+            if float(x @ theta_star) > tau:
+                continue
+            if attempts + rank[j] - used > _MAX_REJECTIONS:
+                break
+            features[item] = x
+            item, attempts, used = item + 1, 0, rank[j]
+            if item == n_items:
+                return features
+        attempts += rank[-1] - used
+        if attempts >= _MAX_REJECTIONS:
+            raise RuntimeError(
+                f"could not draw a feature with utility <= {tau} in "
+                f"{_MAX_REJECTIONS} attempts; threshold unreachable for this theta_star"
+            )
+
+
 def generate_instance(cfg: InstanceConfig) -> Instance:
     """Draw a scenario and compute its ground-truth optimal assortment.
 
@@ -126,6 +177,12 @@ def generate_instance(cfg: InstanceConfig) -> Instance:
     x_i . theta_star <= tau, so no single item dominates; revenues are
     uniform on [r_lo, r_hi]. The optimum is computed with the exact top-K
     assortment rule for the cardinality bound.
+
+    Features are drawn in blocks that reproduce, byte for byte, one
+    _unit_vector draw per attempt from the "features" stream, which feeds
+    nothing else. Each item gets at most _MAX_REJECTIONS draws that pass the
+    norm guard; past that the threshold is taken as unreachable and
+    RuntimeError is raised.
     """
     theta_rng = derive_rng(cfg.seed, 0, "theta")
     feat_rng = derive_rng(cfg.seed, 0, "features")
@@ -134,18 +191,7 @@ def generate_instance(cfg: InstanceConfig) -> Instance:
         theta_star = _unit_vector(theta_rng, cfg.dim)
     else:
         theta_star = theta_rng.uniform(-1.0, 1.0, size=cfg.dim)
-    features = np.empty((cfg.n_items, cfg.dim))
-    for i in range(cfg.n_items):
-        for attempt in range(_MAX_REJECTIONS):
-            x = _unit_vector(feat_rng, cfg.dim)
-            if float(x @ theta_star) <= cfg.tau:
-                features[i] = x
-                break
-        else:
-            raise RuntimeError(
-                f"could not draw a feature with utility <= {cfg.tau} in "
-                f"{_MAX_REJECTIONS} attempts; threshold unreachable for this theta_star"
-            )
+    features = _draw_features(feat_rng, theta_star, cfg.n_items, cfg.tau)
     revenues = rev_rng.uniform(cfg.r_lo, cfg.r_hi, size=cfg.n_items)
     catalog = Catalog(features=features, revenues=revenues)
     s_star = best_assortment(catalog, theta_star, cardinality_constraints(cfg.n_items, cfg.k))

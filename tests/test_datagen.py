@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 from pastaopt import (
+    Catalog,
     Instance,
     InstanceConfig,
     SamplingDesign,
+    best_assortment,
     brute_force_best,
     cardinality_constraints,
     count_assortments,
@@ -18,6 +20,7 @@ from pastaopt import (
     generate_instance,
     sample_assortment,
 )
+from pastaopt import datagen
 
 
 def comb_oracle(n: int, k: int) -> int:
@@ -26,6 +29,48 @@ def comb_oracle(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def reference_instance(cfg: InstanceConfig):
+    """Oracle for generate_instance: its former per-attempt loop, one
+    _unit_vector draw per attempt. Returns the instance's arrays and values,
+    or "raised" where the loop gives up, and the number of attempts made."""
+    theta_rng = derive_rng(cfg.seed, 0, "theta")
+    feat_rng = derive_rng(cfg.seed, 0, "features")
+    rev_rng = derive_rng(cfg.seed, 0, "revenues")
+    if cfg.theta_star_mode == "unit-sphere":
+        theta_star = datagen._unit_vector(theta_rng, cfg.dim)
+    else:
+        theta_star = theta_rng.uniform(-1.0, 1.0, size=cfg.dim)
+    features = np.empty((cfg.n_items, cfg.dim))
+    draws = 0
+    for i in range(cfg.n_items):
+        for attempt in range(datagen._MAX_REJECTIONS):
+            x = datagen._unit_vector(feat_rng, cfg.dim)
+            draws += 1
+            if float(x @ theta_star) <= cfg.tau:
+                features[i] = x
+                break
+        else:
+            return "raised", draws
+    revenues = rev_rng.uniform(cfg.r_lo, cfg.r_hi, size=cfg.n_items)
+    catalog = Catalog(features=features, revenues=revenues)
+    s_star = best_assortment(catalog, theta_star, cardinality_constraints(cfg.n_items, cfg.k))
+    v_star = expected_revenue(catalog, s_star, theta_star)
+    return instance_bytes(theta_star, features, revenues, s_star, v_star), draws
+
+
+def instance_bytes(theta_star, features, revenues, s_star, v_star):
+    return (theta_star.tobytes(), features.tobytes(), revenues.tobytes(), s_star, v_star.hex())
+
+
+def library_instance(cfg: InstanceConfig):
+    try:
+        inst = generate_instance(cfg)
+    except RuntimeError:
+        return "raised"
+    cat = inst.catalog
+    return instance_bytes(inst.theta_star, cat.features, cat.revenues, inst.s_star, inst.v_star)
 
 
 class TestCountAssortments:
@@ -100,6 +145,63 @@ class TestGenerateInstance:
         loaded = Instance.load(pa)
         assert loaded.s_star == a.s_star
         assert np.array_equal(loaded.theta_star, a.theta_star)
+
+
+class TestBlockSampler:
+    """generate_instance draws features in blocks; reference_instance is the
+    per-attempt loop it must reproduce byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64])
+    def test_matches_per_attempt_loop(self, monkeypatch, dim):
+        # 20 configs of this grid have an unreachable threshold; a fifth of
+        # the cap makes the reference give up on them 5x sooner, and the
+        # reachable ones need at most 229 draws per item on average
+        monkeypatch.setattr(datagen, "_MAX_REJECTIONS", 20_000)
+        for mode in ("unit-sphere", "iid-uniform"):
+            for tau in (-0.2, -0.6, -0.9):
+                for seed in range(3):
+                    cfg = InstanceConfig(
+                        n_items=40, k=8, dim=dim, seed=seed, theta_star_mode=mode, tau=tau
+                    )
+                    expected, _ = reference_instance(cfg)
+                    assert library_instance(cfg) == expected, cfg
+
+    def test_draws_span_several_blocks(self):
+        # the headline shape accepts about 1 draw in 185
+        cfg = InstanceConfig(n_items=40, k=8, dim=16, seed=606)
+        expected, draws = reference_instance(cfg)
+        assert draws >= 3 * datagen._FEATURE_BLOCK
+        assert library_instance(cfg) == expected
+
+    def test_rows_on_the_threshold_are_accepted(self):
+        # in one dimension x = +-1 exactly, so x . theta_star equals
+        # tau = -|theta_star| exactly on every accepted row
+        for seed in range(6):
+            u = derive_rng(seed, 0, "theta").uniform(-1.0, 1.0, size=1)[0]
+            for mode, tau in (("unit-sphere", -1.0), ("iid-uniform", -abs(u))):
+                cfg = InstanceConfig(
+                    n_items=10, k=3, dim=1, seed=seed, theta_star_mode=mode, tau=tau
+                )
+                expected, _ = reference_instance(cfg)
+                assert library_instance(cfg) == expected
+                inst = generate_instance(cfg)
+                assert np.all(inst.catalog.utilities(inst.theta_star) == tau)
+
+    @pytest.mark.parametrize("cap, tau, n_items", [(5, -0.6, 3), (50, -0.9, 10)])
+    def test_rejection_cap_counts_draws_per_item(self, monkeypatch, cap, tau, n_items):
+        # at dim 3, x . theta_star is uniform on [-1, 1], so tau -0.6 accepts
+        # 20% of draws and -0.9 accepts 5%; small blocks make every item's
+        # draws cross block boundaries
+        monkeypatch.setattr(datagen, "_MAX_REJECTIONS", cap)
+        raised = []
+        for block in (1, 7, 64, datagen._FEATURE_BLOCK):
+            monkeypatch.setattr(datagen, "_FEATURE_BLOCK", block)
+            for seed in range(30):
+                cfg = InstanceConfig(n_items=n_items, k=2, dim=3, seed=seed, tau=tau)
+                expected, _ = reference_instance(cfg)
+                assert library_instance(cfg) == expected, (block, seed)
+                raised.append(expected == "raised")
+        assert any(raised) and not all(raised)
 
 
 class TestSamplingDesign:

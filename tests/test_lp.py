@@ -6,6 +6,7 @@ from pastaopt import (
     ConstraintSet,
     IntegralityError,
     LpSolution,
+    SimplexError,
     best_assortment,
     brute_force_best,
     build_assortment_lp,
@@ -158,6 +159,33 @@ class TestBestAssortment:
                 v_bf = expected_revenue(cat, s_bf, theta)
                 assert abs(v_lp - v_bf) <= 1e-9
                 assert cons.admits(s_lp)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the LP route's absolute pivot tolerance stops "
+        "at a non-optimal vertex at large |theta| (instance 162)",
+    )
+    def test_two_block_large_theta_silent_wrong_pick(self):
+        # instance 162 (8 items, utilities -18.6 to 49.5) returns (5, 6, 8),
+        # worth 0.8674, where brute force finds (8,), worth 0.8883
+        rng = np.random.default_rng(777)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            cat = Catalog(features=rng.standard_normal((n, d)), revenues=rng.uniform(0.1, 1.0, n))
+            theta = rng.standard_normal(d)
+            theta *= 20.0 / np.linalg.norm(theta)
+            half = n // 2
+            k1 = int(rng.integers(1, max(half, 1) + 1))
+            k2 = int(rng.integers(1, n - half + 1))
+            coeffs = np.zeros((2, n))
+            coeffs[0, :half] = coeffs[1, half:] = 1.0
+            cons = ConstraintSet(coeffs=coeffs, bounds=np.array([k1, k2], dtype=float))
+            try:
+                s_lp = best_assortment(cat, theta, cons)
+            except (SimplexError, IntegralityError, ValueError):
+                continue
+            v_bf = expected_revenue(cat, brute_force_best(cat, theta, cons), theta)
+            assert abs(expected_revenue(cat, s_lp, theta) - v_bf) <= 1e-9
 
     def test_lp_objective_equals_recovered_value(self, rng):
         for _ in range(20):
