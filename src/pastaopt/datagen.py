@@ -164,8 +164,9 @@ def _draw_features(
         attempts += rank[-1] - used
         if attempts >= _MAX_REJECTIONS:
             raise RuntimeError(
-                f"could not draw a feature with utility <= {tau} in "
-                f"{_MAX_REJECTIONS} attempts; threshold unreachable for this theta_star"
+                f"item {item + 1}: none of {_MAX_REJECTIONS} unit vectors drawn from the "
+                f"whole sphere had utility <= {tau} (dim {dim}); use theta_star_mode "
+                "'iid-uniform' (--theta-mode iid-uniform) or a larger tau"
             )
 
 
@@ -181,8 +182,9 @@ def generate_instance(cfg: InstanceConfig) -> Instance:
     Features are drawn in blocks that reproduce, byte for byte, one
     _unit_vector draw per attempt from the "features" stream, which feeds
     nothing else. Each item gets at most _MAX_REJECTIONS draws that pass the
-    norm guard; past that the threshold is taken as unreachable and
-    RuntimeError is raised.
+    norm guard; past that RuntimeError is raised. A reachable threshold can
+    still raise when too little of the sphere lies below it, as with the
+    default tau at high dimension under a unit-sphere theta_star.
     """
     theta_rng = derive_rng(cfg.seed, 0, "theta")
     feat_rng = derive_rng(cfg.seed, 0, "features")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -39,8 +39,11 @@ class OfflineDataset:
     """n records of (assortment shown, item chosen, revenue realized).
 
     Assortments are sorted tuples of 1-based indices; choice 0 means no
-    purchase. Instances are immutable by convention; internal matrices for
-    vectorized likelihood evaluation are built lazily and cached.
+    purchase. Instances are immutable by convention. The matrices for
+    vectorized likelihood evaluation are built lazily and cached: one padded
+    row per distinct assortment, in order of first appearance, and an
+    inverse map from each record to its row, so a log that repeats
+    assortments pays one log-sum-exp per distinct assortment.
     """
 
     def __init__(
@@ -76,7 +79,8 @@ class OfflineDataset:
             yield s, int(a), float(r)
 
     def _matrices(self, catalog: Catalog) -> tuple:
-        """Padded index/mask matrices for vectorized likelihood evaluation.
+        """Padded index/mask matrices over the distinct assortments, the
+        record-to-row inverse map, and the 0-based choices.
 
         Built once per dataset; every call checks that the catalog has all
         the items the records offer.
@@ -84,14 +88,18 @@ class OfflineDataset:
         if self._padded is None:
             if self.n == 0:
                 raise ValueError("dataset is empty")
-            max_k = max(len(s) for s in self.assortments)
-            idx = np.zeros((self.n, max_k), dtype=int)
-            mask = np.zeros((self.n, max_k), dtype=bool)
-            for i, s in enumerate(self.assortments):
+            row_of: dict[Assortment, int] = {}
+            inverse = np.array(
+                [row_of.setdefault(s, len(row_of)) for s in self.assortments], dtype=int
+            )
+            max_k = max(len(s) for s in row_of)
+            idx = np.zeros((len(row_of), max_k), dtype=int)
+            mask = np.zeros((len(row_of), max_k), dtype=bool)
+            for i, s in enumerate(row_of):
                 idx[i, : len(s)] = np.asarray(s, dtype=int) - 1
                 mask[i, : len(s)] = True
             chosen = self.choices - 1  # -1 marks no purchase
-            self._padded = (idx, mask, chosen)
+            self._padded = (idx, mask, inverse, chosen)
         if self._max_item > catalog.n_items:
             raise ValueError(
                 f"dataset offers item {self._max_item} beyond the {catalog.n_items}-item catalog"
@@ -123,22 +131,23 @@ class OfflineDataset:
 
 
 def _log_denominators(catalog: Catalog, dataset: OfflineDataset, theta: np.ndarray):
-    """Per-record log(1 + sum_{j in S_i} exp(u_j)) and the padded utility rows."""
-    idx, mask, chosen = dataset._matrices(catalog)
+    """log(1 + sum_{j in S} exp(u_j)) and the padded utility row of each
+    distinct assortment S; index with the inverse map for per-record values."""
+    idx, mask, inverse, chosen = dataset._matrices(catalog)
     u = catalog.utilities(theta)
     rows = np.where(mask, u[idx], -np.inf)
     m = np.maximum(0.0, rows.max(axis=1))
     log_denom = m + np.log(np.exp(-m) + np.where(mask, np.exp(rows - m[:, None]), 0.0).sum(axis=1))
-    return rows, log_denom, (idx, mask, chosen), u
+    return rows, log_denom, (idx, mask, inverse, chosen), u
 
 
 def neg_log_likelihood(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> float:
     """Sample-average negative log choice probability of the observed choices."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    _, log_denom, (idx, mask, chosen), u = _log_denominators(catalog, dataset, theta)
+    _, log_denom, (_, _, inverse, chosen), u = _log_denominators(catalog, dataset, theta)
     chosen_u = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
-    value = float(np.mean(log_denom - chosen_u))
+    value = float(np.mean(log_denom[inverse] - chosen_u))
     if not math.isfinite(value):
         raise FloatingPointError("non-finite likelihood; data or theta out of range")
     return value
@@ -154,12 +163,15 @@ def _nll_derivatives(
     of x_j under the choice probabilities P(j|S;theta), with no-purchase
     contributing the zero vector; both average over records. Accumulation
     happens in per-item weight space so a single (N, d) product yields the
-    gradient.
+    gradient. The choice probabilities are computed once per distinct
+    assortment and gathered back to records before any sum, so the sums run
+    in record order.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    rows, log_denom, (idx, mask, chosen), _ = _log_denominators(catalog, dataset, theta)
-    probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)
+    rows, log_denom, (idx, mask, inverse, chosen), _ = _log_denominators(catalog, dataset, theta)
+    probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)[inverse]
+    idx, mask = idx[inverse], mask[inverse]
     n_items, x = catalog.n_items, catalog.features
     item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
     purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
@@ -342,7 +354,10 @@ class ConfidenceRegion:
     """All theta in the ball whose likelihood gap to the MLE is within alpha.
 
     Membership caches the NLL at the MLE so repeated tests never drift with
-    re-evaluation order.
+    re-evaluation order. It also remembers the NLL at the last theta it
+    evaluated, keyed by theta's bytes, so re-testing that theta (as each
+    gdls call does with the iterate the previous call accepted) skips the
+    likelihood pass; the ball and gap tests still run on every call.
     """
 
     theta_ml: np.ndarray
@@ -351,6 +366,9 @@ class ConfidenceRegion:
     catalog: Catalog
     space: ParamSpace
     nll_at_ml: float
+    _last_nll: tuple[bytes, float] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def from_fit(
@@ -374,5 +392,10 @@ class ConfidenceRegion:
         theta = np.asarray(theta, dtype=float)
         if not self.space.contains(theta):
             return False
-        gap = neg_log_likelihood(self.dataset, self.catalog, theta) - self.nll_at_ml
-        return gap <= self.alpha
+        key = theta.tobytes()
+        if self._last_nll is not None and self._last_nll[0] == key:
+            nll = self._last_nll[1]
+        else:
+            nll = neg_log_likelihood(self.dataset, self.catalog, theta)
+            object.__setattr__(self, "_last_nll", (key, nll))
+        return nll - self.nll_at_ml <= self.alpha

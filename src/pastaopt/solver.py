@@ -46,7 +46,7 @@ class PastaOptions:
     """Outer alternation controls and confidence-region configuration.
 
     alpha_mode picks the radius rule of confidence_radius; alpha_override,
-    when set, replaces that radius outright. space defaults to ParamSpace's
+    when set, replaces that radius outright and must be >= 0. space defaults to ParamSpace's
     default ball in the catalog's dimension. The MLE fit runs with the
     FitOptions defaults.
     """
@@ -61,6 +61,8 @@ class PastaOptions:
             raise ValueError("max_outer_iters must be >= 1")
         if self.alpha_mode not in ("empirical", "theoretical"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
+        if self.alpha_override is not None and not self.alpha_override >= 0:
+            raise ValueError(f"alpha_override must be >= 0, got {self.alpha_override}")
 
 
 @dataclass(frozen=True)

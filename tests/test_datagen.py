@@ -203,6 +203,19 @@ class TestBlockSampler:
                 raised.append(expected == "raised")
         assert any(raised) and not all(raised)
 
+    def test_cap_message_reports_the_sampler_not_the_threshold(self, monkeypatch):
+        # tau = -0.9 is reachable (x = -theta_star has utility -1) but accepts
+        # 5% of draws at dim 3, so a cap of 5 draws per item gives up
+        monkeypatch.setattr(datagen, "_MAX_REJECTIONS", 5)
+        cfg = InstanceConfig(n_items=10, k=2, dim=3, seed=0, tau=-0.9)
+        assert reference_instance(cfg)[0] == "raised"
+        with pytest.raises(RuntimeError) as err:
+            generate_instance(cfg)
+        message = str(err.value)
+        assert "none of 5 unit vectors drawn from the whole sphere had utility <= -0.9" in message
+        assert "--theta-mode iid-uniform" in message and "larger tau" in message
+        assert "unreachable" not in message
+
 
 class TestSamplingDesign:
     def test_mass_bookkeeping(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,16 @@ from pastaopt import (
     Catalog,
     ConfidenceRegion,
     FitOptions,
+    InstanceConfig,
     OfflineDataset,
     ParamSpace,
+    SamplingDesign,
     confidence_radius,
+    derive_rng,
     fit_mle,
+    generate_dataset,
+    generate_instance,
+    likelihood,
     neg_log_likelihood,
     nll_gradient,
     nll_hessian,
@@ -39,6 +46,92 @@ def random_dataset(rng, catalog, theta, n, max_size=None):
         choices.append(a)
         revenues.append(0.0 if a == 0 else float(catalog.revenues[a - 1]))
     return OfflineDataset(assortments, choices, revenues)
+
+
+def reference_log_denominators(catalog, dataset, theta):
+    """Oracle for the distinct-row layout: the former per-record padded rows,
+    one log-sum-exp per record."""
+    max_k = max(len(s) for s in dataset.assortments)
+    idx = np.zeros((dataset.n, max_k), dtype=int)
+    mask = np.zeros((dataset.n, max_k), dtype=bool)
+    for i, s in enumerate(dataset.assortments):
+        idx[i, : len(s)] = np.asarray(s, dtype=int) - 1
+        mask[i, : len(s)] = True
+    chosen = dataset.choices - 1
+    u = catalog.utilities(theta)
+    rows = np.where(mask, u[idx], -np.inf)
+    m = np.maximum(0.0, rows.max(axis=1))
+    log_denom = m + np.log(np.exp(-m) + np.where(mask, np.exp(rows - m[:, None]), 0.0).sum(axis=1))
+    return rows, log_denom, (idx, mask, chosen), u
+
+
+def reference_nll(dataset, catalog, theta):
+    _, log_denom, (idx, mask, chosen), u = reference_log_denominators(catalog, dataset, theta)
+    chosen_u = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
+    return float(np.mean(log_denom - chosen_u))
+
+
+def reference_derivatives(dataset, catalog, theta):
+    rows, log_denom, (idx, mask, chosen), _ = reference_log_denominators(catalog, dataset, theta)
+    probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)
+    n_items, x = catalog.n_items, catalog.features
+    item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
+    purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
+    grad = ((item_prob - purchases) @ x) / dataset.n
+    mean_x = np.einsum("ik,ikd->id", probs, x[idx])
+    hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
+    return grad, hess
+
+
+def oracle_datasets():
+    """(name, catalog, dataset) cases for the distinct-row layout."""
+    rng = np.random.default_rng(8)
+    cases = []
+    inst = generate_instance(InstanceConfig(n_items=10, k=4, dim=3, seed=8))
+    design = SamplingDesign(p=0.9, n_items=10, k=4)
+    heavy = generate_dataset(inst, design, 300, derive_rng(8, 0, "ds"))
+    cases.append(("heavy-repetition", inst.catalog, heavy))
+    cat = random_catalog(rng, 8, 3)
+    pool = [s for k in (1, 2, 3) for s in itertools.combinations(range(1, 9), k)]
+    picks = rng.permutation(len(pool))[:60]
+    distinct = [pool[i] for i in picks]
+    choices = [int(rng.choice((0,) + s)) for s in distinct]
+    revenues = [0.0 if a == 0 else float(cat.revenues[a - 1]) for a in choices]
+    cases.append(("all-distinct", cat, OfflineDataset(distinct, choices, revenues)))
+    cases.append(("single-record", cat, OfflineDataset([(2, 5, 7)], [5], [1.0])))
+    no_buy = [(1, 2), (3,), (1, 2), (2, 4, 6)]
+    cases.append(("no-purchase-only", cat, OfflineDataset(no_buy, [0] * 4, [0.0] * 4)))
+    cases.append(("mixed-sizes", cat, random_dataset(rng, cat, rng.standard_normal(3), n=200)))
+    return cases
+
+
+class TestDistinctRows:
+    """The likelihood evaluates one row per distinct assortment; the former
+    per-record evaluation is the byte-exact oracle."""
+
+    def test_layout_dedups_in_order_of_first_appearance(self):
+        ds = OfflineDataset([(2, 3), (1,), (2, 3), (1,), (4, 1)], [3, 0, 2, 1, 4], [1.0] * 5)
+        idx, mask, inverse, _ = ds._matrices(catalog_1d([0.0] * 4, [1.0] * 4))
+        assert inverse.tolist() == [0, 1, 0, 1, 2]
+        assert idx.tolist() == [[1, 2], [0, 0], [0, 3]]
+        assert mask.tolist() == [[True, True], [True, False], [True, True]]
+
+    @pytest.mark.parametrize("norm", [0.0, 1.0, 10.0, 100.0])
+    def test_matches_per_record_reference(self, norm):
+        cases = oracle_datasets()
+        heavy = cases[0][2]
+        assert len(set(heavy.assortments)) < heavy.n // 5
+        all_distinct = cases[1][2]
+        assert len(set(all_distinct.assortments)) == all_distinct.n
+        rng = np.random.default_rng(int(norm))
+        for name, cat, ds in cases:
+            for _ in range(3):
+                theta = rng.standard_normal(cat.dim)
+                theta *= norm / np.linalg.norm(theta)
+                assert neg_log_likelihood(ds, cat, theta) == reference_nll(ds, cat, theta), name
+                grad, hess = reference_derivatives(ds, cat, theta)
+                assert nll_gradient(ds, cat, theta).tobytes() == grad.tobytes(), name
+                assert nll_hessian(ds, cat, theta).tobytes() == hess.tobytes(), name
 
 
 class TestNegLogLikelihood:
@@ -199,6 +292,32 @@ class TestConfidenceRegion:
             theta = np.random.default_rng(1).standard_normal(3)
             if region.contains(theta):
                 assert wider.contains(theta)
+
+    def test_repeated_tests_match_a_fresh_region(self, rng):
+        # the NLL memo must never carry one theta's verdict over to another
+        region, fit, cat, ds = self._region(rng, alpha=0.1)
+        inside, outside, far = fit.theta, fit.theta + 1.0, np.full(3, 100.0)
+        verdicts = []
+        for theta in (inside, outside, inside, inside, far, outside, outside, inside, far):
+            fresh = ConfidenceRegion.from_fit(fit, ds, cat, region.space, region.alpha)
+            verdicts.append(region.contains(theta))
+            assert verdicts[-1] == fresh.contains(theta)
+        assert verdicts[:3] == [True, False, True]
+
+    def test_same_theta_is_evaluated_once(self, rng, monkeypatch):
+        region, fit, _, _ = self._region(rng)
+        calls = []
+        real = likelihood.neg_log_likelihood
+
+        def counting(*args):
+            calls.append(args[2].copy())
+            return real(*args)
+
+        monkeypatch.setattr(likelihood, "neg_log_likelihood", counting)
+        a, b = fit.theta, fit.theta + 0.01
+        for theta in (a, a.copy(), b, b, a):
+            assert region.contains(theta)
+        assert [c.tobytes() for c in calls] == [a.tobytes(), b.tobytes(), a.tobytes()]
 
     def test_truth_covered_on_one_instance(self, rng):
         cat = random_catalog(rng, 6, 3)

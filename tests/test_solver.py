@@ -23,6 +23,7 @@ from pastaopt import (
     gdls,
     generate_dataset,
     generate_instance,
+    likelihood,
     neg_log_likelihood,
     pasta_solve,
 )
@@ -113,6 +114,17 @@ class TestGdls:
         with pytest.raises(ValueError):
             gdls(cat, (1,), region, np.array([5.0]))
 
+    def test_infeasible_start_rejected_after_a_feasible_one(self):
+        # the region's NLL memo holds the feasible start of the first call
+        cat, ds, theta_ml, nll, space = exact_1d_region()
+        region = ConfidenceRegion(
+            theta_ml=theta_ml, alpha=0.01, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
+        )
+        out = gdls(cat, (1,), region, theta_ml)
+        assert region.contains(out)
+        with pytest.raises(ValueError):
+            gdls(cat, (1,), region, np.array([5.0]))
+
     def test_one_dim_descent_verified_on_region_grid(self):
         # 1-d instance, wide region: two feasible gradient steps must land at
         # a value no worse than every grid point within step reach confirms
@@ -174,6 +186,39 @@ class TestPastaSolve:
             pasta_solve(ds, inst.catalog, cons, PastaOptions(space=wrong))
         with pytest.raises(ValueError):
             baseline_solve(ds, inst.catalog, cons, space=wrong)
+
+    def test_alpha_override_must_be_nonnegative(self):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="alpha_override"):
+                PastaOptions(alpha_override=bad)
+        assert PastaOptions(alpha_override=0.0).alpha_override == 0.0
+
+    def test_accepted_iterate_is_not_evaluated_twice(self, monkeypatch):
+        # each gdls call after the first re-tests the iterate the previous
+        # call accepted; the region's memo answers that test without an NLL pass
+        counts = {"contains": 0, "nll": 0}
+        in_contains = [False]
+        real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
+
+        def counting_nll(*args):
+            counts["nll"] += in_contains[0]
+            return real_nll(*args)
+
+        def counting_contains(self, theta):
+            counts["contains"] += 1
+            in_contains[0] = True
+            try:
+                return real_contains(self, theta)
+            finally:
+                in_contains[0] = False
+
+        monkeypatch.setattr(likelihood, "neg_log_likelihood", counting_nll)
+        monkeypatch.setattr(ConfidenceRegion, "contains", counting_contains)
+        inst, ds, cons = small_problem(seed=101)
+        _, trace = pasta_solve(ds, inst.catalog, cons, PastaOptions(max_outer_iters=30))
+        assert len(trace.iterations) == 30 and not trace.converged_early
+        assert counts["contains"] >= 90
+        assert counts["nll"] == counts["contains"] - 29
 
     def test_deterministic(self):
         inst, ds, cons = small_problem(seed=24)
