@@ -133,35 +133,27 @@ def _run_replication(cfg: SweepConfig, vi: int, value, rep: int) -> list[ResultR
         instance, design, n, derive_rng(cfg.master_seed, rep, f"dataset-v{vi}")
     )
     cons = cardinality_constraints(cfg.n_items, cfg.k)
+    catalog = instance.catalog
+    solvers = (
+        ("pasta", lambda: pasta_solve(dataset, catalog, cons, cfg.pasta)[0]),
+        ("baseline", lambda: baseline_solve(dataset, catalog, cons, space=cfg.pasta.space)),
+    )
     rows = []
-    t0 = time.perf_counter()
-    s_pasta, _ = pasta_solve(dataset, instance.catalog, cons, cfg.pasta)
-    ms_pasta = (time.perf_counter() - t0) * 1e3
-    rows.append(
-        ResultRow(
-            cfg.sweep_variable,
-            float(value),
-            rep,
-            "pasta",
-            regret(instance, s_pasta),
-            assortment_accuracy(s_pasta, instance.s_star),
-            ms_pasta,
+    for method, solve in solvers:
+        t0 = time.perf_counter()
+        s_hat = solve()
+        ms = (time.perf_counter() - t0) * 1e3
+        rows.append(
+            ResultRow(
+                cfg.sweep_variable,
+                float(value),
+                rep,
+                method,
+                regret(instance, s_hat),
+                assortment_accuracy(s_hat, instance.s_star),
+                ms,
+            )
         )
-    )
-    t0 = time.perf_counter()
-    s_base = baseline_solve(dataset, instance.catalog, cons, space=cfg.pasta.space)
-    ms_base = (time.perf_counter() - t0) * 1e3
-    rows.append(
-        ResultRow(
-            cfg.sweep_variable,
-            float(value),
-            rep,
-            "baseline",
-            regret(instance, s_base),
-            assortment_accuracy(s_base, instance.s_star),
-            ms_base,
-        )
-    )
     return rows
 
 

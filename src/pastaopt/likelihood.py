@@ -130,33 +130,11 @@ class OfflineDataset:
         return cls(assortments, choices, revenues)
 
 
-def _log_denominators(catalog: Catalog, dataset: OfflineDataset, theta: np.ndarray):
-    """log(1 + sum_{j in S} exp(u_j)) and the padded utility row of each
-    distinct assortment S; index with the inverse map for per-record values."""
-    idx, mask, inverse, chosen = dataset._matrices(catalog)
-    u = catalog.utilities(theta)
-    rows = np.where(mask, u[idx], -np.inf)
-    m = np.maximum(0.0, rows.max(axis=1))
-    log_denom = m + np.log(np.exp(-m) + np.where(mask, np.exp(rows - m[:, None]), 0.0).sum(axis=1))
-    return rows, log_denom, (idx, mask, inverse, chosen), u
-
-
-def neg_log_likelihood(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> float:
-    """Sample-average negative log choice probability of the observed choices."""
-    if dataset.n == 0:
-        raise ValueError("dataset is empty")
-    _, log_denom, (_, _, inverse, chosen), u = _log_denominators(catalog, dataset, theta)
-    chosen_u = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
-    value = float(np.mean(log_denom[inverse] - chosen_u))
-    if not math.isfinite(value):
-        raise FloatingPointError("non-finite likelihood; data or theta out of range")
-    return value
-
-
-def _nll_derivatives(
-    dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray, hessian: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradient and (optionally) Hessian of neg_log_likelihood from one pass.
+def _nll_pass(
+    dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray, derivatives: bool
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """The NLL at theta and, when derivatives is set, its gradient and
+    Hessian, all from one log-sum-exp per distinct assortment.
 
     Per record the score is sum_{j in S} P(j|S;theta) x_j - x_A (dropping
     the x_A term for no-purchase records), and the Hessian is the covariance
@@ -169,29 +147,42 @@ def _nll_derivatives(
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    rows, log_denom, (idx, mask, inverse, chosen), _ = _log_denominators(catalog, dataset, theta)
+    idx, mask, inverse, chosen = dataset._matrices(catalog)
+    u = catalog.utilities(theta)
+    rows = np.where(mask, u[idx], -np.inf)
+    m = np.maximum(0.0, rows.max(axis=1))
+    log_denom = m + np.log(np.exp(-m) + np.where(mask, np.exp(rows - m[:, None]), 0.0).sum(axis=1))
+    chosen_u = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
+    nll = float(np.mean(log_denom[inverse] - chosen_u))
+    if not math.isfinite(nll):
+        raise FloatingPointError("non-finite likelihood; data or theta out of range")
+    if not derivatives:
+        return nll, None, None
     probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)[inverse]
     idx, mask = idx[inverse], mask[inverse]
     n_items, x = catalog.n_items, catalog.features
     item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
     purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
     grad = ((item_prob - purchases) @ x) / dataset.n
-    if not hessian:
-        return grad, None
     mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # padded slots carry zero mass
     hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
-    return grad, hess
+    return nll, grad, hess
+
+
+def neg_log_likelihood(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> float:
+    """Sample-average negative log choice probability of the observed choices."""
+    return _nll_pass(dataset, catalog, theta, derivatives=False)[0]
 
 
 def nll_gradient(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
     """Gradient of neg_log_likelihood in theta."""
-    return _nll_derivatives(dataset, catalog, theta, hessian=False)[0]
+    return _nll_pass(dataset, catalog, theta, derivatives=True)[1]
 
 
 def nll_hessian(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
     """Hessian of neg_log_likelihood in theta: the average choice-weighted
     covariance of the offered features (positive semidefinite)."""
-    return _nll_derivatives(dataset, catalog, theta, hessian=True)[1]
+    return _nll_pass(dataset, catalog, theta, derivatives=True)[2]
 
 
 @dataclass(frozen=True)
@@ -280,14 +271,17 @@ def fit_mle(
     (halving the step, Armijo condition) until the NLL drops. Stops when the
     projected-gradient residual reaches grad_tol, when no step along the
     segment decreases the loss at float resolution, or after max_iters.
+    Each evaluated theta costs one likelihood pass, which yields the NLL,
+    gradient and Hessian together; the accepted candidate's carry into the
+    next iteration, so a fit that rejects no candidate makes 1 + n_iters
+    passes.
     """
     space = space or ParamSpace(dim=catalog.dim)
     if space.dim != catalog.dim:
         raise ValueError("parameter space dimension must match catalog features")
     opts = opts or FitOptions()
     theta = np.zeros(catalog.dim)
-    nll = neg_log_likelihood(dataset, catalog, theta)
-    grad, hess = _nll_derivatives(dataset, catalog, theta, hessian=True)
+    nll, grad, hess = _nll_pass(dataset, catalog, theta, derivatives=True)
     residual = _projected_residual(space, theta, grad)
     it = 0
     while residual > opts.grad_tol and it < opts.max_iters:
@@ -296,18 +290,15 @@ def fit_mle(
         if not slope < 0:
             break  # the model sees no descent at float resolution
         step = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = space.project(theta + step * direction)
-            cand_nll = neg_log_likelihood(dataset, catalog, cand)
-            if cand_nll <= nll + 1e-4 * step * slope:
-                accepted = True
+            cand_pass = _nll_pass(dataset, catalog, cand, derivatives=True)
+            if cand_pass[0] <= nll + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break  # no improving step exists at float resolution
-        theta, nll = cand, cand_nll
-        grad, hess = _nll_derivatives(dataset, catalog, theta, hessian=True)
+        theta, (nll, grad, hess) = cand, cand_pass
         residual = _projected_residual(space, theta, grad)
         it += 1
     return MleFit(
@@ -358,6 +349,8 @@ class ConfidenceRegion:
     evaluated, keyed by theta's bytes, so re-testing that theta (as each
     gdls call does with the iterate the previous call accepted) skips the
     likelihood pass; the ball and gap tests still run on every call.
+    from_fit seeds that memo with the fit's own NLL at theta_ml, so the
+    first test of the MLE costs no pass either.
     """
 
     theta_ml: np.ndarray
@@ -379,7 +372,7 @@ class ConfidenceRegion:
         space: ParamSpace,
         alpha: float,
     ) -> "ConfidenceRegion":
-        return cls(
+        region = cls(
             theta_ml=fit.theta,
             alpha=alpha,
             dataset=dataset,
@@ -387,6 +380,8 @@ class ConfidenceRegion:
             space=space,
             nll_at_ml=fit.nll,
         )
+        object.__setattr__(region, "_last_nll", (fit.theta.tobytes(), fit.nll))
+        return region
 
     def contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)

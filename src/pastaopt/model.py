@@ -185,6 +185,16 @@ def _stable_weights(u: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(u - m), float(np.exp(-m))
 
 
+def _choice_masses(
+    catalog: Catalog, idx: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Purchase probabilities of the items at 0-based positions idx and the
+    no-purchase probability; the caller has already checked the assortment."""
+    w, w0 = _stable_weights(catalog.utilities(theta)[idx])
+    denom = w0 + w.sum()
+    return w / denom, w0 / denom
+
+
 def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> ChoiceDistribution:
     """MNL purchase probabilities for assortment s under preference theta.
 
@@ -192,9 +202,8 @@ def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) 
     P(no purchase) takes the remaining 1 / (1 + sum_j ...) mass.
     """
     s = catalog.check_assortment(s)
-    w, w0 = _stable_weights(catalog.utilities(theta)[np.asarray(s, dtype=int) - 1])
-    denom = w0 + w.sum()
-    return ChoiceDistribution(items=s, item_probs=w / denom, no_purchase=w0 / denom)
+    item_probs, no_purchase = _choice_masses(catalog, np.asarray(s, dtype=int) - 1, theta)
+    return ChoiceDistribution(items=s, item_probs=item_probs, no_purchase=no_purchase)
 
 
 def expected_revenue(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> float:
@@ -205,9 +214,9 @@ def expected_revenue(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> f
     s = catalog.check_assortment(s)
     if not s:
         return 0.0
-    dist = choice_probabilities(catalog, s, theta)
-    r = catalog.revenues[np.asarray(s, dtype=int) - 1]
-    return float(r @ dist.item_probs)
+    idx = np.asarray(s, dtype=int) - 1
+    item_probs, _ = _choice_masses(catalog, idx, theta)
+    return float(catalog.revenues[idx] @ item_probs)
 
 
 def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> np.ndarray:
@@ -219,12 +228,11 @@ def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndar
     s = catalog.check_assortment(s)
     if not s:
         raise ValueError("gradient is undefined for the empty assortment")
-    dist = choice_probabilities(catalog, s, theta)
     idx = np.asarray(s, dtype=int) - 1
+    item_probs, _ = _choice_masses(catalog, idx, theta)
     r = catalog.revenues[idx]
-    x = catalog.features[idx]
-    v = float(r @ dist.item_probs)
-    return (dist.item_probs * (r - v)) @ x
+    v = float(r @ item_probs)
+    return (item_probs * (r - v)) @ catalog.features[idx]
 
 
 def sample_choice(
@@ -234,6 +242,6 @@ def sample_choice(
     s = catalog.check_assortment(s)
     if not s:
         raise ValueError("cannot sample a choice from the empty assortment")
-    dist = choice_probabilities(catalog, s, theta)
-    k = int(rng.choice(len(s) + 1, p=dist.as_array()))
+    item_probs, no_purchase = _choice_masses(catalog, np.asarray(s, dtype=int) - 1, theta)
+    k = int(rng.choice(len(s) + 1, p=np.append(item_probs, no_purchase)))
     return 0 if k == len(s) else s[k]

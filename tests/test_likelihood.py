@@ -83,6 +83,52 @@ def reference_derivatives(dataset, catalog, theta):
     return grad, hess
 
 
+def reference_fit(dataset, catalog, space=None, opts=None):
+    """Oracle for fit_mle: the former loop, which re-ran the likelihood at
+    every accepted candidate to get its derivatives. Returns the fit and the
+    number of distinct thetas it evaluated."""
+    space = space or ParamSpace(dim=catalog.dim)
+    opts = opts or FitOptions()
+    theta = np.zeros(catalog.dim)
+    nll = reference_nll(dataset, catalog, theta)
+    grad, hess = reference_derivatives(dataset, catalog, theta)
+    residual = likelihood._projected_residual(space, theta, grad)
+    it, evaluated = 0, 1
+    while residual > opts.grad_tol and it < opts.max_iters:
+        direction = likelihood._ball_model_minimizer(theta, grad, hess, space.theta_max) - theta
+        slope = float(grad @ direction)
+        if not slope < 0:
+            break
+        step = 1.0
+        accepted = False
+        for _ in range(likelihood._MAX_HALVINGS):
+            cand = space.project(theta + step * direction)
+            cand_nll = reference_nll(dataset, catalog, cand)
+            evaluated += 1
+            if cand_nll <= nll + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        theta, nll = cand, cand_nll
+        grad, hess = reference_derivatives(dataset, catalog, theta)
+        residual = likelihood._projected_residual(space, theta, grad)
+        it += 1
+    fit = likelihood.MleFit(theta, residual <= opts.grad_tol, it, nll, residual)
+    return fit, evaluated
+
+
+def fit_cases():
+    """(name, catalog, dataset, space) cases for the fit oracle: every
+    oracle_datasets() case in the default ball, plus a fit that ends on the
+    ball's boundary."""
+    cases = [(name, cat, ds, None) for name, cat, ds in oracle_datasets()]
+    boundary = OfflineDataset([(1,)], [1], [1.0])
+    cases.append(("boundary", catalog_1d([1.0], [1.0]), boundary, ParamSpace(dim=1, theta_max=2.0)))
+    return cases
+
+
 def oracle_datasets():
     """(name, catalog, dataset) cases for the distinct-row layout."""
     rng = np.random.default_rng(8)
@@ -132,6 +178,41 @@ class TestDistinctRows:
                 grad, hess = reference_derivatives(ds, cat, theta)
                 assert nll_gradient(ds, cat, theta).tobytes() == grad.tobytes(), name
                 assert nll_hessian(ds, cat, theta).tobytes() == hess.tobytes(), name
+
+
+class TestFitPasses:
+    """fit_mle evaluates the likelihood once per theta; the former two-pass
+    loop is the byte-exact oracle."""
+
+    def test_matches_two_pass_reference(self):
+        for name, cat, ds, space in fit_cases():
+            got = fit_mle(ds, cat, space)
+            want, _ = reference_fit(ds, cat, space)
+            assert got.theta.tobytes() == want.theta.tobytes(), name
+            assert got.converged is want.converged, name
+            assert got.n_iters == want.n_iters, name
+            assert got.nll.hex() == want.nll.hex(), name
+            assert got.grad_norm.hex() == want.grad_norm.hex(), name
+
+    def test_one_kernel_pass_per_evaluated_theta(self, monkeypatch):
+        calls = []
+        real = likelihood._nll_pass
+
+        def counting(dataset, catalog, theta, derivatives):
+            calls.append(theta.tobytes())
+            return real(dataset, catalog, theta, derivatives)
+
+        monkeypatch.setattr(likelihood, "_nll_pass", counting)
+        for name, cat, ds, space in fit_cases():
+            calls.clear()
+            fit = fit_mle(ds, cat, space)
+            _, evaluated = reference_fit(ds, cat, space)
+            assert len(calls) == evaluated, name
+            assert len(set(calls)) == len(calls), name
+            assert calls[0] == np.zeros(cat.dim).tobytes(), name
+            assert calls[-1] == fit.theta.tobytes(), name
+            if name == "heavy-repetition":  # a fit that rejects no candidate
+                assert fit.n_iters >= 3 and len(calls) == 1 + fit.n_iters
 
 
 class TestNegLogLikelihood:
@@ -317,7 +398,7 @@ class TestConfidenceRegion:
         a, b = fit.theta, fit.theta + 0.01
         for theta in (a, a.copy(), b, b, a):
             assert region.contains(theta)
-        assert [c.tobytes() for c in calls] == [a.tobytes(), b.tobytes(), a.tobytes()]
+        assert [c.tobytes() for c in calls] == [b.tobytes(), a.tobytes()]
 
     def test_truth_covered_on_one_instance(self, rng):
         cat = random_catalog(rng, 6, 3)

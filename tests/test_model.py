@@ -168,6 +168,31 @@ class TestSampleChoice:
         assert draws1 == draws2
 
 
+class TestValidation:
+    def test_each_public_call_checks_its_assortment_once(self, monkeypatch):
+        cat = catalog_1d([0.2, -0.1, 0.4], [0.5, 0.7, 0.6])
+        theta = np.array([1.0])
+        checked = []
+        real = Catalog.check_assortment
+
+        def counting(self, s):
+            checked.append(tuple(s))
+            return real(self, s)
+
+        monkeypatch.setattr(Catalog, "check_assortment", counting)
+        rng = np.random.default_rng(0)
+        calls = (
+            lambda s: choice_probabilities(cat, s, theta),
+            lambda s: expected_revenue(cat, s, theta),
+            lambda s: expected_revenue_gradient(cat, s, theta),
+            lambda s: sample_choice(cat, s, theta, rng),
+        )
+        for call in calls:
+            checked.clear()
+            call([3, 1])
+            assert checked == [(3, 1)]
+
+
 class TestCatalogIO:
     def test_json_round_trip(self, rng, tmp_path):
         cat = random_catalog(rng, 4, 3)

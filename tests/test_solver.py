@@ -194,8 +194,9 @@ class TestPastaSolve:
         assert PastaOptions(alpha_override=0.0).alpha_override == 0.0
 
     def test_accepted_iterate_is_not_evaluated_twice(self, monkeypatch):
-        # each gdls call after the first re-tests the iterate the previous
-        # call accepted; the region's memo answers that test without an NLL pass
+        # each gdls call re-tests its start, the iterate the previous call
+        # accepted or, for the first, the MLE; the region's memo (seeded by
+        # from_fit) answers that test without an NLL pass
         counts = {"contains": 0, "nll": 0}
         in_contains = [False]
         real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
@@ -218,7 +219,7 @@ class TestPastaSolve:
         _, trace = pasta_solve(ds, inst.catalog, cons, PastaOptions(max_outer_iters=30))
         assert len(trace.iterations) == 30 and not trace.converged_early
         assert counts["contains"] >= 90
-        assert counts["nll"] == counts["contains"] - 29
+        assert counts["nll"] == counts["contains"] - 30
 
     def test_deterministic(self):
         inst, ds, cons = small_problem(seed=24)
