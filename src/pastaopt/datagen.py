@@ -98,12 +98,19 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Instance":
+        for key in ("theta_star", "s_star", "v_star", "config"):
+            if key not in obj:
+                raise ValueError(f"instance JSON lacks key {key!r}")
+        try:
+            config = InstanceConfig(**obj["config"])
+        except TypeError as exc:  # an unexpected or missing config key
+            raise ValueError(f"instance JSON config: {exc}") from exc
         return cls(
             catalog=Catalog.from_json_dict(obj),
             theta_star=np.asarray(obj["theta_star"], dtype=float),
             s_star=as_assortment(obj["s_star"]),
             v_star=float(obj["v_star"]),
-            config=InstanceConfig(**obj["config"]),
+            config=config,
         )
 
     def save(self, path: str | Path) -> None:

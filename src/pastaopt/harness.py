@@ -206,6 +206,10 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
         if header != RESULT_HEADER:
             raise ValueError(f"unexpected results CSV header: {header}")
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(rec)} fields, expected {len(header)}"
+                )
             rows.append(
                 ResultRow(
                     sweep_var=rec[0],

@@ -71,9 +71,6 @@ class OfflineDataset:
     def n(self) -> int:
         return len(self.assortments)
 
-    def __len__(self) -> int:
-        return self.n
-
     def records(self) -> Iterator[tuple[Assortment, int, float]]:
         for s, a, r in zip(self.assortments, self.choices, self.revenues):
             yield s, int(a), float(r)
@@ -124,6 +121,10 @@ class OfflineDataset:
             if header != ["sample_id", "assortment", "choice", "revenue"]:
                 raise ValueError(f"unexpected dataset CSV header: {header}")
             for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(header)}"
+                    )
                 assortments.append(tuple(int(t) for t in row[1].split(";") if t))
                 choices.append(int(row[2]))
                 revenues.append(float(row[3]))
@@ -323,7 +324,7 @@ def confidence_radius(
     mode "empirical": 2 * (NLL at the MLE), which needs nll_at_ml. mode
     "theoretical": the rate-shaped radius (dim / n) * log(theta_max / delta)
     at the fixed confidence level delta = 0.05, which needs dim, n and
-    theta_max. Arguments the mode does not use are ignored.
+    theta_max > delta. Arguments the mode does not use are ignored.
     """
     if mode == "empirical":
         if nll_at_ml is None:
@@ -332,6 +333,10 @@ def confidence_radius(
     elif mode == "theoretical":
         if None in (dim, n, theta_max):
             raise ValueError("theoretical mode needs dim, n, theta_max")
+        if not theta_max > _DELTA:
+            raise ValueError(
+                f"theoretical radius needs theta_max > delta = {_DELTA}, got {theta_max}"
+            )
         alpha = (dim / n) * math.log(theta_max / _DELTA)
     else:
         raise ValueError(f"unknown confidence radius mode {mode!r}")
@@ -344,53 +349,33 @@ def confidence_radius(
 class ConfidenceRegion:
     """All theta in the ball whose likelihood gap to the MLE is within alpha.
 
-    Membership caches the NLL at the MLE so repeated tests never drift with
-    re-evaluation order. It also remembers the NLL at the last theta it
-    evaluated, keyed by theta's bytes, so re-testing that theta (as each
-    gdls call does with the iterate the previous call accepted) skips the
-    likelihood pass; the ball and gap tests still run on every call.
-    from_fit seeds that memo with the fit's own NLL at theta_ml, so the
-    first test of the MLE costs no pass either.
+    The region is the fit it is centred on plus the radius alpha. It relies
+    on one invariant: fit.nll is neg_log_likelihood(dataset, catalog,
+    fit.theta) to the bit, which fit_mle guarantees. Membership remembers
+    the NLL at the last theta it evaluated, keyed by theta's bytes, and
+    every region starts with that memo seeded from the fit, so testing the
+    MLE, or re-testing the iterate the previous gdls call accepted, skips
+    the likelihood pass; the ball and gap tests still run on every call.
     """
 
-    theta_ml: np.ndarray
-    alpha: float
+    fit: MleFit
     dataset: OfflineDataset
     catalog: Catalog
     space: ParamSpace
-    nll_at_ml: float
-    _last_nll: tuple[bytes, float] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    alpha: float
+    _last_nll: tuple[bytes, float] = field(init=False, compare=False, repr=False)
 
-    @classmethod
-    def from_fit(
-        cls,
-        fit: MleFit,
-        dataset: OfflineDataset,
-        catalog: Catalog,
-        space: ParamSpace,
-        alpha: float,
-    ) -> "ConfidenceRegion":
-        region = cls(
-            theta_ml=fit.theta,
-            alpha=alpha,
-            dataset=dataset,
-            catalog=catalog,
-            space=space,
-            nll_at_ml=fit.nll,
-        )
-        object.__setattr__(region, "_last_nll", (fit.theta.tobytes(), fit.nll))
-        return region
+    def __post_init__(self):
+        object.__setattr__(self, "_last_nll", (self.fit.theta.tobytes(), self.fit.nll))
 
     def contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)
         if not self.space.contains(theta):
             return False
         key = theta.tobytes()
-        if self._last_nll is not None and self._last_nll[0] == key:
+        if self._last_nll[0] == key:
             nll = self._last_nll[1]
         else:
             nll = neg_log_likelihood(self.dataset, self.catalog, theta)
             object.__setattr__(self, "_last_nll", (key, nll))
-        return nll - self.nll_at_ml <= self.alpha
+        return nll - self.fit.nll <= self.alpha

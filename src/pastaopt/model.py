@@ -8,9 +8,7 @@ weight exp(x_i . theta) against a no-purchase weight of 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -102,6 +100,9 @@ class Catalog:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Catalog":
+        for key in ("n_items", "d", "revenues", "features"):
+            if key not in obj:
+                raise ValueError(f"catalog JSON lacks key {key!r}")
         catalog = cls(
             features=np.asarray(obj["features"], dtype=float),
             revenues=np.asarray(obj["revenues"], dtype=float),
@@ -109,13 +110,6 @@ class Catalog:
         if catalog.n_items != int(obj["n_items"]) or catalog.dim != int(obj["d"]):
             raise ValueError("catalog JSON header inconsistent with array shapes")
         return catalog
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Catalog":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)
@@ -160,13 +154,8 @@ class ChoiceDistribution:
     item_probs: np.ndarray
     no_purchase: float
 
-    @property
-    def outcomes(self) -> tuple[int, ...]:
-        """All outcomes in a fixed order: the offered items, then 0."""
-        return self.items + (0,)
-
     def as_array(self) -> np.ndarray:
-        """Masses aligned with .outcomes (no-purchase last)."""
+        """Masses of the offered items in .items order, then no-purchase."""
         return np.append(self.item_probs, self.no_purchase)
 
     def prob_of(self, outcome: int) -> float:

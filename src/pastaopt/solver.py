@@ -84,7 +84,6 @@ class SolveTrace:
     theta_ml: np.ndarray
     alpha: float
     iterations: list[tuple[int, Assortment, np.ndarray, float]] = field(default_factory=list)
-    final_assortment: Assortment = ()
     converged_early: bool = False
 
     def save_csv(self, path: str | Path) -> None:
@@ -160,7 +159,7 @@ def build_region(
             n=dataset.n,
             theta_max=space.theta_max,
         )
-    return ConfidenceRegion.from_fit(fit, dataset, catalog, space, alpha)
+    return ConfidenceRegion(fit, dataset, catalog, space, alpha)
 
 
 def pasta_solve(
@@ -178,21 +177,18 @@ def pasta_solve(
     """
     opts = opts or PastaOptions()
     region = build_region(dataset, catalog, opts)
-    trace = SolveTrace(theta_ml=region.theta_ml, alpha=region.alpha)
-    theta = region.theta_ml
+    theta = region.fit.theta
+    trace = SolveTrace(theta_ml=theta, alpha=region.alpha)
     s_prev: Assortment | None = None
     for t in range(1, opts.max_outer_iters + 1):
         s_t = best_assortment(catalog, theta, cons)
         theta_t = gdls(catalog, s_t, region, theta)
         trace.iterations.append((t, s_t, theta_t, expected_revenue(catalog, s_t, theta_t)))
-        if s_prev == s_t and float(np.linalg.norm(theta_t - theta)) < 1e-12:
+        settled = s_prev == s_t and float(np.linalg.norm(theta_t - theta)) < 1e-12
+        theta, s_prev = theta_t, s_t
+        if settled:
             trace.converged_early = True
-            theta = theta_t
-            s_prev = s_t
             break
-        theta = theta_t
-        s_prev = s_t
-    trace.final_assortment = s_prev
     return s_prev, trace
 
 

@@ -169,7 +169,7 @@ def test_criterion_5_confidence_region_coverage():
         space = ParamSpace(dim=4)
         fit = fit_mle(ds, inst.catalog, space)
         alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
-        region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha)
+        region = ConfidenceRegion(fit, ds, inst.catalog, space, alpha)
         covered += region.contains(inst.theta_star)
     rate = covered / reps
     ok = rate >= 0.9

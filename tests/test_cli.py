@@ -97,6 +97,34 @@ class TestFitAndSolve:
         )
         assert code == 1
 
+    def test_dataset_row_with_wrong_field_count_is_validation_error(
+        self, generated, tmp_path, capsys
+    ):
+        lines = (generated / "dataset.csv").read_text().splitlines()
+        for bad_row in ("1,1;2,1", "1,1;2,1,0.5,extra"):
+            bad = tmp_path / "bad.csv"
+            bad.write_text("\n".join(lines[:3] + [bad_row] + lines[4:]) + "\n")
+            code = run_cli(
+                "fit", "--instance", str(generated / "instance.json"), "--data", str(bad),
+                "--out", str(tmp_path / "theta.json"),
+            )
+            assert code == 1
+            assert "line 4 has" in capsys.readouterr().err
+
+    def test_malformed_instance_json_is_validation_error(self, generated, tmp_path, capsys):
+        obj = json.loads((generated / "instance.json").read_text())
+        no_features = {k: v for k, v in obj.items() if k != "features"}
+        unknown_config = dict(obj, config=dict(obj["config"], colour="blue"))
+        for broken, key in ((no_features, "features"), (unknown_config, "colour")):
+            bad = tmp_path / "instance.json"
+            bad.write_text(json.dumps(broken))
+            code = run_cli(
+                "fit", "--instance", str(bad), "--data", str(generated / "dataset.csv"),
+                "--out", str(tmp_path / "theta.json"),
+            )
+            assert code == 1
+            assert key in capsys.readouterr().err
+
 
 class TestSweepAndPlot:
     def test_sweep_then_plot(self, tmp_path):
@@ -120,6 +148,17 @@ class TestSweepAndPlot:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,results,file\n1,2,3,4\n")
         assert run_cli("plot", "--metric", "regret", "--input", str(bad), "--out", str(tmp_path / "x.svg")) == 1
+
+    def test_plot_rejects_row_with_wrong_field_count(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text(
+            "sweep_var,sweep_value,rep,method,regret,accuracy,wall_time_ms\n"
+            "n,20,0,pasta,0.1,0.5,1.0\n"
+            "n,20,0,baseline,0.1\n"
+        )
+        code = run_cli("plot", "--metric", "regret", "--input", str(bad), "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        assert "line 3 has 5 fields" in capsys.readouterr().err
 
 
 class TestDiag:

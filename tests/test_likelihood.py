@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -333,6 +334,9 @@ class TestConfidenceRadius:
             confidence_radius("empirical", nll_at_ml=0.0)
         with pytest.raises(ValueError):
             confidence_radius("nonsense", nll_at_ml=1.0)
+        for theta_max in (0.01, 0.05):
+            with pytest.raises(ValueError, match="theta_max > delta"):
+                confidence_radius("theoretical", dim=2, n=100, theta_max=theta_max)
 
 
 class TestConfidenceRegion:
@@ -343,7 +347,7 @@ class TestConfidenceRegion:
         fit = fit_mle(ds, cat, space)
         if alpha is None:
             alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
-        return ConfidenceRegion.from_fit(fit, ds, cat, space, alpha), fit, cat, ds
+        return ConfidenceRegion(fit, ds, cat, space, alpha), fit, cat, ds
 
     def test_mle_is_member(self, rng):
         region, fit, _, _ = self._region(rng)
@@ -361,14 +365,7 @@ class TestConfidenceRegion:
 
     def test_monotone_in_alpha(self, rng):
         region, fit, cat, ds = self._region(rng)
-        wider = ConfidenceRegion(
-            theta_ml=region.theta_ml,
-            alpha=region.alpha * 3,
-            dataset=ds,
-            catalog=cat,
-            space=region.space,
-            nll_at_ml=region.nll_at_ml,
-        )
+        wider = dataclasses.replace(region, alpha=region.alpha * 3)
         for _ in range(50):
             theta = np.random.default_rng(1).standard_normal(3)
             if region.contains(theta):
@@ -380,7 +377,7 @@ class TestConfidenceRegion:
         inside, outside, far = fit.theta, fit.theta + 1.0, np.full(3, 100.0)
         verdicts = []
         for theta in (inside, outside, inside, inside, far, outside, outside, inside, far):
-            fresh = ConfidenceRegion.from_fit(fit, ds, cat, region.space, region.alpha)
+            fresh = ConfidenceRegion(fit, ds, cat, region.space, region.alpha)
             verdicts.append(region.contains(theta))
             assert verdicts[-1] == fresh.contains(theta)
         assert verdicts[:3] == [True, False, True]
@@ -400,6 +397,25 @@ class TestConfidenceRegion:
             assert region.contains(theta)
         assert [c.tobytes() for c in calls] == [b.tobytes(), a.tobytes()]
 
+    def test_every_region_is_seeded_from_its_fit(self, rng, monkeypatch):
+        # however a region is built, testing its own centre costs no NLL pass
+        region, fit, cat, ds = self._region(rng)
+        theta = np.array([0.3, -0.2, 0.1])
+        by_hand = likelihood.MleFit(theta, False, 0, neg_log_likelihood(ds, cat, theta), 1.0)
+        regions = [
+            region,
+            ConfidenceRegion(by_hand, ds, cat, region.space, region.alpha),
+            dataclasses.replace(region, alpha=region.alpha * 3),
+        ]
+        calls = []
+        real = likelihood.neg_log_likelihood
+        monkeypatch.setattr(
+            likelihood, "neg_log_likelihood", lambda *args: calls.append(args) or real(*args)
+        )
+        for r in regions:
+            assert r.contains(r.fit.theta)
+        assert calls == []
+
     def test_truth_covered_on_one_instance(self, rng):
         cat = random_catalog(rng, 6, 3)
         truth = rng.standard_normal(3) * 0.5
@@ -407,7 +423,7 @@ class TestConfidenceRegion:
         space = ParamSpace(dim=3)
         fit = fit_mle(ds, cat, space)
         alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
-        region = ConfidenceRegion.from_fit(fit, ds, cat, space, alpha)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha)
         assert region.contains(truth)
 
 

@@ -8,6 +8,7 @@ from pastaopt import (
     Catalog,
     ConfidenceRegion,
     InstanceConfig,
+    MleFit,
     OfflineDataset,
     ParamSpace,
     PastaOptions,
@@ -55,7 +56,7 @@ class TestGdls:
         ds = OfflineDataset([(1, 2)], [1], [0.0])
         space = ParamSpace(dim=2)
         fit = fit_mle(ds, cat, space)
-        region = ConfidenceRegion.from_fit(fit, ds, cat, space, alpha=1.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha=1.0)
         out = gdls(cat, (1, 2, 3), region, fit.theta)
         assert np.array_equal(out, fit.theta)
 
@@ -63,9 +64,8 @@ class TestGdls:
         # the only feasible steps in a zero-radius region are those too small
         # for the float loss to register, so the output stays at the center
         cat, ds, theta_ml, nll, space = exact_1d_region()
-        region = ConfidenceRegion(
-            theta_ml=theta_ml, alpha=0.0, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
-        )
+        fit = MleFit(theta_ml, True, 0, nll, 0.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha=0.0)
         history = []
         out = gdls(cat, (1,), region, theta_ml, history=history)
         assert np.allclose(out, theta_ml, atol=1e-7)
@@ -76,7 +76,7 @@ class TestGdls:
         inst, ds, cons = small_problem(seed=7)
         space = ParamSpace(dim=3)
         fit = fit_mle(ds, inst.catalog, space)
-        region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha=50.0)
+        region = ConfidenceRegion(fit, ds, inst.catalog, space, alpha=50.0)
         s = best_assortment(inst.catalog, fit.theta, cons)
         out = gdls(inst.catalog, s, region, fit.theta)
         assert expected_revenue(inst.catalog, s, out) <= expected_revenue(
@@ -88,9 +88,8 @@ class TestGdls:
         # alpha small enough that every step's initial size is infeasible and
         # shrinks are needed; verify each beta is exactly the first feasible one
         cat, ds, theta_ml, nll, space = exact_1d_region()
-        region = ConfidenceRegion(
-            theta_ml=theta_ml, alpha=1e-9, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
-        )
+        fit = MleFit(theta_ml, True, 0, nll, 0.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha=1e-9)
         history = []
         out = gdls(cat, (1,), region, theta_ml, history=history)
         assert len(history) == _GDLS_STEPS
@@ -108,18 +107,16 @@ class TestGdls:
 
     def test_infeasible_start_rejected(self):
         cat, ds, theta_ml, nll, space = exact_1d_region()
-        region = ConfidenceRegion(
-            theta_ml=theta_ml, alpha=0.01, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
-        )
+        fit = MleFit(theta_ml, True, 0, nll, 0.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha=0.01)
         with pytest.raises(ValueError):
             gdls(cat, (1,), region, np.array([5.0]))
 
     def test_infeasible_start_rejected_after_a_feasible_one(self):
         # the region's NLL memo holds the feasible start of the first call
         cat, ds, theta_ml, nll, space = exact_1d_region()
-        region = ConfidenceRegion(
-            theta_ml=theta_ml, alpha=0.01, dataset=ds, catalog=cat, space=space, nll_at_ml=nll
-        )
+        fit = MleFit(theta_ml, True, 0, nll, 0.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha=0.01)
         out = gdls(cat, (1,), region, theta_ml)
         assert region.contains(out)
         with pytest.raises(ValueError):
@@ -131,7 +128,7 @@ class TestGdls:
         inst, ds, cons = small_problem(seed=77, n=100, n_items=5, k=2, dim=1, p=0.7)
         space = ParamSpace(dim=1, theta_max=5.0)
         fit = fit_mle(ds, inst.catalog, space)
-        region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha=100.0)
+        region = ConfidenceRegion(fit, ds, inst.catalog, space, alpha=100.0)
         s = best_assortment(inst.catalog, fit.theta, cons)
         out = gdls(inst.catalog, s, region, fit.theta)
         v_init = expected_revenue(inst.catalog, s, fit.theta)
@@ -172,12 +169,12 @@ class TestPastaSolve:
         opts = PastaOptions()
         s_pasta, trace = pasta_solve(ds, inst.catalog, cons, opts)
         region = build_region(ds, inst.catalog, opts)
-        assert np.array_equal(region.theta_ml, trace.theta_ml)
+        assert np.array_equal(region.fit.theta, trace.theta_ml)
         assert region.alpha == trace.alpha
         for _, s_t, theta_t, _ in trace.iterations:
             assert region.contains(theta_t)
             assert cons.admits(s_t)
-        assert s_pasta == trace.final_assortment == trace.iterations[-1][1]
+        assert s_pasta == trace.iterations[-1][1]
 
     def test_space_dimension_mismatch_rejected(self):
         inst, ds, cons = small_problem(seed=26)
@@ -195,8 +192,8 @@ class TestPastaSolve:
 
     def test_accepted_iterate_is_not_evaluated_twice(self, monkeypatch):
         # each gdls call re-tests its start, the iterate the previous call
-        # accepted or, for the first, the MLE; the region's memo (seeded by
-        # from_fit) answers that test without an NLL pass
+        # accepted or, for the first, the MLE; the region's memo (seeded from
+        # the fit) answers that test without an NLL pass
         counts = {"contains": 0, "nll": 0}
         in_contains = [False]
         real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
@@ -268,7 +265,7 @@ class TestGridOracle:
         from pastaopt import confidence_radius
 
         alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
-        region = ConfidenceRegion.from_fit(fit, ds, inst.catalog, space, alpha)
+        region = ConfidenceRegion(fit, ds, inst.catalog, space, alpha)
         grid = [np.array([t]) for t in np.linspace(-4.0, 4.0, 161)]
         feasible = [th for th in grid if region.contains(th)]
         if region.contains(inst.theta_star):

@@ -17,6 +17,11 @@ p = 0.05 on the optimum):
   {0, 1, 10, 100};
 - pasta_solve in both alpha modes: every trace row (t, S, theta, worst
   value), alpha, theta_ml, converged_early and the pick;
+- in both alpha modes, the membership verdicts of the region that
+  solver.build_region returns at the MLE theta, at theta + 10^-k u for a
+  unit vector u and k = -1..4 (the far points often leave the region, so
+  both verdicts of the likelihood gap test occur), and at every trace
+  iterate;
 - baseline_solve's pick;
 
 plus run_sweep rows over n in {50, 150} with 3 replications in both alpha
@@ -102,6 +107,12 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
             digest.add(where, s, trace.alpha, trace.theta_ml, trace.converged_early)
             for t, s_t, theta_t, worst in trace.iterations:
                 digest.add(where + "/row", t, s_t, theta_t, worst)
+        region = digest.call(where + "/region", pk.solver.build_region, dataset, catalog, opts)
+        if fit is not None and region is not None:
+            probes = [fit.theta] + [fit.theta + 10.0**-k * direction for k in range(-1, 5)]
+            if out is not None:
+                probes += [theta_t for _, _, theta_t, _ in out[1].iterations]
+            digest.add(where + "/contains", [region.contains(theta) for theta in probes])
     where = label + "/baseline"
     digest.add(where, digest.call(where, pk.baseline_solve, dataset, catalog, cons))
 
