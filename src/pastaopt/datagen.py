@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import best_assortment, cardinality_constraints
-from .model import Assortment, Catalog, as_assortment, expected_revenue, sample_choice
+from .model import Assortment, Catalog, _choice_cdf, as_assortment, expected_revenue
 from .likelihood import OfflineDataset
 from .rng import derive_rng
 
@@ -227,7 +227,14 @@ class SamplingDesign:
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
-        object.__setattr__(self, "n_assortments", count_assortments(self.n_items, self.k))
+        n_assortments = count_assortments(self.n_items, self.k)
+        if n_assortments < 2:
+            # every draw that misses the optimum would be re-drawn forever
+            raise ValueError(
+                f"a logging design needs at least 2 nonempty assortments, got "
+                f"{n_assortments} (n_items={self.n_items}, k={self.k})"
+            )
+        object.__setattr__(self, "n_assortments", n_assortments)
         totals = itertools.accumulate(math.comb(self.n_items, j) for j in range(1, self.k + 1))
         object.__setattr__(self, "size_totals", tuple(totals))
 
@@ -278,15 +285,28 @@ def generate_dataset(
 
     The generator is split into one stream per record component, so
     extending n appends records without reshuffling earlier ones.
+    Assortments are drawn record by record. The choice stream gives exactly
+    one double u_i = random() per record, drawn in one call, and record i's
+    choice is sample_choice's outcome for u_i: cdf.searchsorted(u_i,
+    side="right"), where cdf is the running sum of the true choice masses of
+    S_i's items, then no purchase, divided by its last entry. The cdf is
+    formed once per distinct assortment; a non-finite or negative mass
+    raises ValueError before any choice is drawn.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     assort_rng, choice_rng = rng.spawn(2)
-    assortments, choices, revenues = [], [], []
-    for _ in range(n):
-        s = sample_assortment(instance, design, assort_rng)
-        a = sample_choice(instance.catalog, s, instance.theta_star, choice_rng)
-        assortments.append(s)
-        choices.append(a)
-        revenues.append(0.0 if a == 0 else float(instance.catalog.revenues[a - 1]))
+    catalog = instance.catalog
+    assortments = [sample_assortment(instance, design, assort_rng) for _ in range(n)]
+    records: dict[Assortment, list[int]] = {}
+    for i, s in enumerate(assortments):
+        records.setdefault(s, []).append(i)
+    utilities = catalog.utilities(instance.theta_star)
+    cdfs = [_choice_cdf(utilities, catalog.check_assortment(s)) for s in records]
+    u = choice_rng.random(n)
+    choices = np.empty(n, dtype=int)
+    for (s, rows), cdf in zip(records.items(), cdfs):
+        outcomes = np.append(np.asarray(s, dtype=int), 0)  # position len(s) is no purchase
+        choices[rows] = outcomes[cdf.searchsorted(u[rows], side="right")]
+    revenues = np.append(0.0, catalog.revenues)[choices]
     return OfflineDataset(assortments, choices, revenues)

@@ -174,14 +174,34 @@ def _stable_weights(u: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(u - m), float(np.exp(-m))
 
 
-def _choice_masses(
-    catalog: Catalog, idx: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Purchase probabilities of the items at 0-based positions idx and the
-    no-purchase probability; the caller has already checked the assortment."""
-    w, w0 = _stable_weights(catalog.utilities(theta)[idx])
+def _choice_masses(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Purchase probabilities of the offered items, whose utilities are u,
+    and the no-purchase probability; the caller has already checked the
+    assortment."""
+    w, w0 = _stable_weights(u)
     denom = w0 + w.sum()
     return w / denom, w0 / denom
+
+
+def _choice_cdf(utilities: np.ndarray, s: Assortment) -> np.ndarray:
+    """Running sum of the choice masses of s's items, then no purchase,
+    divided by its last entry: Generator.choice's arithmetic, so
+    cdf.searchsorted(u, side="right") is the outcome Generator.choice draws
+    from the double u.
+
+    utilities holds x_i . theta for the whole catalog and s is already
+    checked. Raises ValueError, as Generator.choice does, on a non-finite or
+    negative mass.
+    """
+    if not s:
+        raise ValueError("cannot sample a choice from the empty assortment")
+    item_probs, no_purchase = _choice_masses(utilities[np.asarray(s, dtype=int) - 1])
+    masses = np.append(item_probs, no_purchase)
+    if not (np.isfinite(masses).all() and (masses >= 0).all()):
+        raise ValueError(f"choice probabilities must be finite and nonnegative, got {masses}")
+    cdf = masses.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> ChoiceDistribution:
@@ -191,7 +211,8 @@ def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) 
     P(no purchase) takes the remaining 1 / (1 + sum_j ...) mass.
     """
     s = catalog.check_assortment(s)
-    item_probs, no_purchase = _choice_masses(catalog, np.asarray(s, dtype=int) - 1, theta)
+    idx = np.asarray(s, dtype=int) - 1
+    item_probs, no_purchase = _choice_masses(catalog.utilities(theta)[idx])
     return ChoiceDistribution(items=s, item_probs=item_probs, no_purchase=no_purchase)
 
 
@@ -204,7 +225,7 @@ def expected_revenue(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> f
     if not s:
         return 0.0
     idx = np.asarray(s, dtype=int) - 1
-    item_probs, _ = _choice_masses(catalog, idx, theta)
+    item_probs, _ = _choice_masses(catalog.utilities(theta)[idx])
     return float(catalog.revenues[idx] @ item_probs)
 
 
@@ -218,7 +239,7 @@ def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndar
     if not s:
         raise ValueError("gradient is undefined for the empty assortment")
     idx = np.asarray(s, dtype=int) - 1
-    item_probs, _ = _choice_masses(catalog, idx, theta)
+    item_probs, _ = _choice_masses(catalog.utilities(theta)[idx])
     r = catalog.revenues[idx]
     v = float(r @ item_probs)
     return (item_probs * (r - v)) @ catalog.features[idx]
@@ -227,10 +248,16 @@ def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndar
 def sample_choice(
     catalog: Catalog, s: Iterable[int], theta: np.ndarray, rng: np.random.Generator
 ) -> int:
-    """Draw one purchase outcome from s (1-based item index) or 0 for no purchase."""
+    """Draw one purchase outcome from s (1-based item index) or 0 for no purchase.
+
+    Draws exactly one double u = rng.random() and returns the outcome at
+    searchsorted(cdf, u, side="right"), where cdf is the running sum of the
+    choice masses of s's items, then no purchase, divided by its last entry:
+    the draw Generator.choice(len(s) + 1, p=masses) makes, stream and bytes.
+    A non-finite or negative mass, such as a NaN theta gives, raises
+    ValueError before anything is drawn.
+    """
     s = catalog.check_assortment(s)
-    if not s:
-        raise ValueError("cannot sample a choice from the empty assortment")
-    item_probs, no_purchase = _choice_masses(catalog, np.asarray(s, dtype=int) - 1, theta)
-    k = int(rng.choice(len(s) + 1, p=np.append(item_probs, no_purchase)))
+    cdf = _choice_cdf(catalog.utilities(theta), s)
+    k = int(cdf.searchsorted(rng.random(), side="right"))
     return 0 if k == len(s) else s[k]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pastaopt
 from pastaopt import FitOptions, InstanceConfig, ParamSpace, PastaOptions, SweepConfig
 from pastaopt.cli import _build_parser, main
 
@@ -45,6 +50,22 @@ class TestGenerate:
             "--n", "10", "--p", "0.5", "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 1
+
+    def test_single_assortment_design_is_validation_error(self, tmp_path):
+        # a separate process with a timeout, so a design that re-draws its
+        # only assortment forever fails the test instead of hanging it
+        env = {**os.environ, "PYTHONPATH": str(Path(pastaopt.__file__).parents[1])}
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "pastaopt.cli", "generate",
+                "--n-items", "1", "--card", "1", "--dim", "2",
+                "--n", "5", "--p", "0.5", "--seed", "1", "--out", str(tmp_path / "out"),
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )  # fmt: skip
+        assert done.returncode == 1
+        assert "at least 2 nonempty assortments" in done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestFitAndSolve:

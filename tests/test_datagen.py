@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -13,12 +14,14 @@ from pastaopt import (
     best_assortment,
     brute_force_best,
     cardinality_constraints,
+    choice_probabilities,
     count_assortments,
     derive_rng,
     expected_revenue,
     generate_dataset,
     generate_instance,
     sample_assortment,
+    sample_choice,
 )
 from pastaopt import datagen
 
@@ -71,6 +74,37 @@ def library_instance(cfg: InstanceConfig):
         return "raised"
     cat = inst.catalog
     return instance_bytes(inst.theta_star, cat.features, cat.revenues, inst.s_star, inst.v_star)
+
+
+def reference_dataset(instance: Instance, design: SamplingDesign, n: int, rng):
+    """Oracle for generate_dataset: its former per-record loop, one
+    sample_assortment draw and one Generator.choice draw per record."""
+    assort_rng, choice_rng = rng.spawn(2)
+    catalog = instance.catalog
+    assortments, choices, revenues = [], [], []
+    for _ in range(n):
+        s = sample_assortment(instance, design, assort_rng)
+        masses = choice_probabilities(catalog, s, instance.theta_star).as_array()
+        k = int(choice_rng.choice(len(s) + 1, p=masses))
+        a = 0 if k == len(s) else s[k]
+        assortments.append(s)
+        choices.append(a)
+        revenues.append(0.0 if a == 0 else float(catalog.revenues[a - 1]))
+    return assortments, np.asarray(choices, dtype=int), np.asarray(revenues, dtype=float)
+
+
+def dataset_bytes(assortments, choices, revenues):
+    return assortments, choices.dtype, choices.tobytes(), revenues.dtype, revenues.tobytes()
+
+
+def scaled_truth(instance: Instance, scale: float) -> Instance:
+    return dataclasses.replace(instance, theta_star=instance.theta_star * scale)
+
+
+def cdf_ties_at_one(instance: Instance, s) -> bool:
+    cdf = choice_probabilities(instance.catalog, s, instance.theta_star).as_array().cumsum()
+    cdf /= cdf[-1]
+    return int(np.sum(cdf == 1.0)) >= 2
 
 
 class TestCountAssortments:
@@ -218,6 +252,14 @@ class TestBlockSampler:
 
 
 class TestSamplingDesign:
+    def test_single_assortment_design_rejected(self):
+        # one item under k = 1 leaves s* as the only assortment, so a draw
+        # that misses p would re-draw s* forever
+        with pytest.raises(ValueError, match="at least 2 nonempty assortments"):
+            SamplingDesign(p=0.5, n_items=1, k=1)
+        assert InstanceConfig(n_items=1, k=1, dim=2, seed=1).n_items == 1
+        assert SamplingDesign(p=0.5, n_items=2, k=1).n_assortments == 2
+
     def test_mass_bookkeeping(self):
         design = SamplingDesign(p=0.4, n_items=3, k=1)
         assert design.n_assortments == 3
@@ -286,6 +328,7 @@ class TestGenerateDataset:
         long = generate_dataset(inst, design, 80, derive_rng(19, 0, "ds"))
         assert long.assortments[:50] == short.assortments
         assert np.array_equal(long.choices[:50], short.choices)
+        assert long.revenues[:50].tobytes() == short.revenues.tobytes()
 
     def test_deterministic_csv_bytes(self, tmp_path):
         inst = generate_instance(InstanceConfig(n_items=6, k=2, dim=2, seed=20))
@@ -304,3 +347,75 @@ class TestGenerateDataset:
         assert obj["config"]["n_items"] == 5
         assert obj["config"]["seed"] == 21
         assert obj["s_star"] == list(inst.s_star)
+
+
+# (n_items, k, dim, n, p, scale of theta_star); the first three are the
+# benchmark shapes
+BATCH_CASES = {
+    "headline": (40, 8, 16, 150, 0.9, 1.0),
+    "large-catalog": (64, 16, 4, 400, 0.3, 1.0),
+    "cli": (40, 8, 8, 2000, 0.5, 1.0),
+    "mostly-distinct": (10, 4, 4, 200, 0.05, 1.0),
+    "k=1": (6, 1, 3, 300, 0.5, 1.0),
+    "n=1": (40, 8, 16, 1, 0.9, 1.0),
+    "norm-100": (10, 3, 4, 500, 0.5, 100.0),
+    "norm-100-flipped": (10, 3, 4, 500, 0.5, -100.0),
+}
+
+
+class TestBatchedChoices:
+    """generate_dataset draws a log's choices in one batch; reference_dataset
+    is the per-record loop it must reproduce byte for byte."""
+
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_matches_per_record_loop(self, case):
+        n_items, k, dim, n, p, scale = BATCH_CASES[case]
+        design = SamplingDesign(p=p, n_items=n_items, k=k)
+        for seed in range(3):
+            inst = generate_instance(InstanceConfig(n_items=n_items, k=k, dim=dim, seed=seed))
+            inst = scaled_truth(inst, scale)
+            ds = generate_dataset(inst, design, n, derive_rng(seed, 0, "ds"))
+            expected = reference_dataset(inst, design, n, derive_rng(seed, 0, "ds"))
+            assert dataset_bytes(ds.assortments, ds.choices, ds.revenues) == dataset_bytes(
+                *expected
+            ), seed
+            if case == "mostly-distinct":
+                assert len(set(ds.assortments)) > n / 2
+            if case == "norm-100-flipped":
+                # utilities of 60 and more leave the smaller masses below the
+                # resolution of the running sum, so cdf entries tie at 1.0
+                assert any(cdf_ties_at_one(inst, s) for s in set(ds.assortments))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_truth_raises(self, bad):
+        inst = generate_instance(InstanceConfig(n_items=8, k=3, dim=3, seed=22))
+        theta = inst.theta_star.copy()
+        theta[0] = bad
+        broken = dataclasses.replace(inst, theta_star=theta)
+        design = SamplingDesign(p=0.5, n_items=8, k=3)
+        with pytest.raises(ValueError):
+            reference_dataset(broken, design, 50, derive_rng(22, 0, "ds"))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            generate_dataset(broken, design, 50, derive_rng(22, 0, "ds"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_sample_choice_raises_before_drawing(self, bad):
+        cat = Catalog(features=np.array([[1.0], [-0.5]]), revenues=np.array([0.6, 0.7]))
+        rng = np.random.default_rng(23)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_choice(cat, (1, 2), np.array([bad]), rng)
+        assert rng.bit_generator.state == state
+
+    def test_sample_choice_draws_one_double(self):
+        inst = generate_instance(InstanceConfig(n_items=10, k=4, dim=4, seed=24))
+        for s in ((1,), (2, 5), (1, 3, 7, 9)):
+            masses = choice_probabilities(inst.catalog, s, inst.theta_star).as_array()
+            for seed in range(50):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                a = sample_choice(inst.catalog, s, inst.theta_star, ours)
+                k = int(theirs.choice(len(s) + 1, p=masses))
+                assert a == (0 if k == len(s) else s[k])
+                assert ours.random() == theirs.random()

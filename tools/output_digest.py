@@ -11,7 +11,7 @@ Covered, for 6 seeds of each shape (the headline sweep cell, the
 large-catalog and CLI benchmark shapes, and a 10-item log with mass
 p = 0.05 on the optimum):
 
-- the generated log (assortments and choices);
+- the generated log (assortments, choices and revenues);
 - fit_mle: theta, converged, n_iters, nll and grad_norm;
 - neg_log_likelihood, nll_gradient and nll_hessian at ||theta|| in
   {0, 1, 10, 100};
@@ -84,7 +84,7 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
     dataset = pk.generate_dataset(instance, design, n, np.random.default_rng(seed))
     catalog = instance.catalog
     cons = pk.cardinality_constraints(n_items, k)
-    digest.add(label + "/log", dataset.assortments, dataset.choices)
+    digest.add(label + "/log", dataset.assortments, dataset.choices, dataset.revenues)
 
     fit = digest.call(label + "/fit", pk.fit_mle, dataset, catalog)
     if fit is not None:
