@@ -39,11 +39,13 @@ class OfflineDataset:
     """n records of (assortment shown, item chosen, revenue realized).
 
     Assortments are sorted tuples of 1-based indices; choice 0 means no
-    purchase. Instances are immutable by convention. The matrices for
-    vectorized likelihood evaluation are built lazily and cached: one padded
-    row per distinct assortment, in order of first appearance, and an
-    inverse map from each record to its row, so a log that repeats
-    assortments pays one log-sum-exp per distinct assortment.
+    purchase. Instances are immutable by convention; a log that repeats an
+    assortment normalizes it once and shares the tuple between its records.
+    The matrices for vectorized likelihood evaluation are built lazily and
+    cached: one int slot matrix with a column per distinct assortment, in
+    order of first appearance, and an inverse map from each record to its
+    column, so a log that repeats assortments pays one log-sum-exp per
+    distinct assortment.
     """
 
     def __init__(
@@ -54,7 +56,13 @@ class OfflineDataset:
     ):
         if not (len(assortments) == len(choices) == len(revenues)):
             raise ValueError("assortments, choices, revenues must have equal length")
-        self.assortments: list[Assortment] = [as_assortment(s) for s in assortments]
+        normalized: dict[tuple, Assortment] = {}  # one as_assortment per distinct input
+        self.assortments: list[Assortment] = []
+        for s in assortments:
+            key = tuple(s)
+            if key not in normalized:
+                normalized[key] = as_assortment(key)
+            self.assortments.append(normalized[key])
         self.choices = np.asarray(choices, dtype=int)
         self.revenues = np.asarray(revenues, dtype=float)
         for s, a in zip(self.assortments, self.choices):
@@ -65,7 +73,7 @@ class OfflineDataset:
         if np.any(self.revenues < 0):
             raise ValueError("revenues must be nonnegative")
         self._max_item = max((s[-1] for s in self.assortments), default=0)
-        self._padded: tuple | None = None
+        self._slots: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -76,13 +84,19 @@ class OfflineDataset:
             yield s, int(a), float(r)
 
     def _matrices(self, catalog: Catalog) -> tuple:
-        """Padded index/mask matrices over the distinct assortments, the
-        record-to-row inverse map, and the 0-based choices.
+        """The slot matrix over the distinct assortments, the record-to-row
+        inverse map, and the 0-based choices.
 
-        Built once per dataset; every call checks that the catalog has all
-        the items the records offer.
+        The slot matrix has shape (max_k, distinct assortments): column i
+        holds the 0-based items of the i-th distinct assortment, padded with
+        -2 below them. The likelihood indexes the utilities extended by
+        (-inf, 0.0) with it, so a pad slot (-2) reads -inf, whose exp is
+        exactly 0, and a no-purchase choice (-1) reads 0.0. It is the only
+        per-slot array the dataset keeps; the pad mask is slots >= 0. Built
+        once per dataset; every call checks that the catalog has all the
+        items the records offer.
         """
-        if self._padded is None:
+        if self._slots is None:
             if self.n == 0:
                 raise ValueError("dataset is empty")
             row_of: dict[Assortment, int] = {}
@@ -90,18 +104,17 @@ class OfflineDataset:
                 [row_of.setdefault(s, len(row_of)) for s in self.assortments], dtype=int
             )
             max_k = max(len(s) for s in row_of)
-            idx = np.zeros((len(row_of), max_k), dtype=int)
-            mask = np.zeros((len(row_of), max_k), dtype=bool)
+            slots = np.full((max_k, len(row_of)), -1, dtype=int)
             for i, s in enumerate(row_of):
-                idx[i, : len(s)] = np.asarray(s, dtype=int) - 1
-                mask[i, : len(s)] = True
+                slots[: len(s), i] = s
+            slots -= 1  # 1-based items to 0-based, pads -1 to -2
             chosen = self.choices - 1  # -1 marks no purchase
-            self._padded = (idx, mask, inverse, chosen)
+            self._slots = (slots, inverse, chosen)
         if self._max_item > catalog.n_items:
             raise ValueError(
                 f"dataset offers item {self._max_item} beyond the {catalog.n_items}-item catalog"
             )
-        return self._padded
+        return self._slots
 
     # CSV format: header sample_id,assortment,choice,revenue with the
     # assortment as semicolon-joined sorted 1-based indices.
@@ -145,27 +158,36 @@ def _nll_pass(
     gradient. The choice probabilities are computed once per distinct
     assortment and gathered back to records before any sum, so the sums run
     in record order.
+
+    The gathered utilities sit one column per assortment, so the row max is
+    a reduction down the short first axis, which numpy runs as one
+    vectorized loop over all columns rather than one small loop per row; a
+    max is exact in any order. The sum of exp terms is not: it runs along
+    the rows of a row-major copy, numpy's pairwise sum over each padded row,
+    the order the per-record evaluation uses, so the results keep their
+    bytes.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    idx, mask, inverse, chosen = dataset._matrices(catalog)
-    u = catalog.utilities(theta)
-    rows = np.where(mask, u[idx], -np.inf)
-    m = np.maximum(0.0, rows.max(axis=1))
-    log_denom = m + np.log(np.exp(-m) + np.where(mask, np.exp(rows - m[:, None]), 0.0).sum(axis=1))
-    chosen_u = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
-    nll = float(np.mean(log_denom[inverse] - chosen_u))
+    slots, inverse, chosen = dataset._matrices(catalog)
+    ue = np.concatenate((catalog.utilities(theta), (-np.inf, 0.0)))
+    cols = ue[slots]
+    m = np.maximum(0.0, cols.max(axis=0))
+    terms = np.ascontiguousarray(np.exp(cols - m).T)
+    log_denom = m + np.log(np.exp(-m) + terms.sum(axis=1))
+    nll = float(np.mean(log_denom[inverse] - ue[chosen]))
     if not math.isfinite(nll):
         raise FloatingPointError("non-finite likelihood; data or theta out of range")
     if not derivatives:
         return nll, None, None
-    probs = np.where(mask, np.exp(rows - log_denom[:, None]), 0.0)[inverse]
-    idx, mask = idx[inverse], mask[inverse]
+    probs = np.exp(cols - log_denom).T[inverse]
+    idx = slots.T[inverse]
+    mask = idx >= 0
     n_items, x = catalog.n_items, catalog.features
     item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
     purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
     grad = ((item_prob - purchases) @ x) / dataset.n
-    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # padded slots carry zero mass
+    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # pad slots carry zero mass
     hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
     return nll, grad, hess
 

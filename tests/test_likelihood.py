@@ -149,6 +149,18 @@ def oracle_datasets():
     no_buy = [(1, 2), (3,), (1, 2), (2, 4, 6)]
     cases.append(("no-purchase-only", cat, OfflineDataset(no_buy, [0] * 4, [0.0] * 4)))
     cases.append(("mixed-sizes", cat, random_dataset(rng, cat, rng.standard_normal(3), n=200)))
+    # numpy's pairwise sum treats a row of fewer than 8, exactly 8, 9-15, 16
+    # and 17 or more terms differently; the likelihood must reproduce each
+    wide = random_catalog(rng, 24, 3)
+    for max_k in (8, 12, 16, 20):
+        theta = rng.standard_normal(3)
+        records = ([], [], [])
+        for size in list(range(1, max_k + 1)) * 3:
+            s = tuple(sorted(rng.choice(24, size=size, replace=False) + 1))
+            a = sample_choice(wide, s, theta, rng)
+            for column, value in zip(records, (s, a, 0.0 if a == 0 else wide.revenues[a - 1])):
+                column.append(value)
+        cases.append((f"wide-rows-{max_k}", wide, OfflineDataset(*records)))
     return cases
 
 
@@ -158,10 +170,10 @@ class TestDistinctRows:
 
     def test_layout_dedups_in_order_of_first_appearance(self):
         ds = OfflineDataset([(2, 3), (1,), (2, 3), (1,), (4, 1)], [3, 0, 2, 1, 4], [1.0] * 5)
-        idx, mask, inverse, _ = ds._matrices(catalog_1d([0.0] * 4, [1.0] * 4))
+        slots, inverse, chosen = ds._matrices(catalog_1d([0.0] * 4, [1.0] * 4))
         assert inverse.tolist() == [0, 1, 0, 1, 2]
-        assert idx.tolist() == [[1, 2], [0, 0], [0, 3]]
-        assert mask.tolist() == [[True, True], [True, False], [True, True]]
+        assert slots.tolist() == [[1, 0, 0], [2, -2, 3]]  # one column per row, pads at -2
+        assert chosen.tolist() == [2, -1, 1, 0, 3]
 
     @pytest.mark.parametrize("norm", [0.0, 1.0, 10.0, 100.0])
     def test_matches_per_record_reference(self, norm):
@@ -243,6 +255,29 @@ class TestNegLogLikelihood:
             OfflineDataset([(1, 2)], [3], [1.0])
         with pytest.raises(ValueError):
             OfflineDataset([()], [0], [0.0])
+
+    def test_each_distinct_input_assortment_is_normalized_once(self, monkeypatch):
+        calls = []
+        real = likelihood.as_assortment
+        monkeypatch.setattr(likelihood, "as_assortment", lambda s: calls.append(s) or real(s))
+        ds = OfflineDataset([(3, 1), [3, 1], (1, 3), (2,), (3, 1)], [1, 3, 0, 2, 0], [1.0] * 5)
+        assert calls == [(3, 1), (1, 3), (2,)]
+        assert ds.assortments == [(1, 3), (1, 3), (1, 3), (2,), (1, 3)]
+
+    def test_repeated_invalid_assortment_raises_at_its_first_record(self):
+        def message(assortments, choices):
+            with pytest.raises(ValueError) as caught:
+                OfflineDataset(assortments, choices, [1.0] * len(choices))
+            return str(caught.value)
+
+        for bad in ((2, 2), (0, 1)):
+            alone = message([bad], [0])
+            assert message([(1,), bad, (1,), bad], [0, 1, 1, 0]) == alone
+            assert message([(1,), bad, (3, 3), bad, (3, 3)], [0] * 5) == alone
+        assert message([(2, 2)], [0]) == "duplicate item indices in assortment (2, 2)"
+        # every assortment is checked before any choice, as before
+        assert message([(1,), (1,), (2, 2)], [5, 0, 0]).startswith("duplicate")
+        assert message([(1,), (1,), (1,)], [1, 5, 4]) == "choice 5 not offered in assortment (1,)"
 
     def test_item_beyond_catalog_rejected_on_every_call(self):
         ds = OfflineDataset([(1, 5)], [5], [1.0])
