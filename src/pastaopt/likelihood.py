@@ -84,7 +84,7 @@ class OfflineDataset:
             yield s, int(a), float(r)
 
     def _matrices(self, catalog: Catalog) -> tuple:
-        """The slot matrix over the distinct assortments, the record-to-row
+        """The slot matrix over the distinct assortments, the record-to-column
         inverse map, and the 0-based choices.
 
         The slot matrix has shape (max_k, distinct assortments): column i
@@ -187,7 +187,7 @@ def _nll_pass(
     item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
     purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
     grad = ((item_prob - purchases) @ x) / dataset.n
-    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # pad slots carry zero mass
+    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # padded slots carry zero mass
     hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
     return nll, grad, hess
 

@@ -1,4 +1,5 @@
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -32,3 +33,10 @@ def test_summary_counts_wins_by_declared_direction():
     assert summary["ms"]["pairs"] == 4
     # inclusive quartiles of 9, 10, 11, 12
     assert summary["ms"]["parent"] == {"median": 10.5, "q1": 9.75, "q3": 11.25}
+
+
+def test_report_json_round_trips_with_one_run_per_line():
+    report = {"workloads": {"w": {"seeds": [1, 2], "runs": [run(1, "parent", ms=1.5)] * 2}}}
+    text = bench_pairs.to_json(report)
+    assert json.loads(text) == report
+    assert text.count('"seed": 1') == 2 and len(text.splitlines()) == 11

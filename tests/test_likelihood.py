@@ -154,13 +154,14 @@ def oracle_datasets():
     wide = random_catalog(rng, 24, 3)
     for max_k in (8, 12, 16, 20):
         theta = rng.standard_normal(3)
-        records = ([], [], [])
+        assortments, choices, revenues = [], [], []
         for size in list(range(1, max_k + 1)) * 3:
             s = tuple(sorted(rng.choice(24, size=size, replace=False) + 1))
             a = sample_choice(wide, s, theta, rng)
-            for column, value in zip(records, (s, a, 0.0 if a == 0 else wide.revenues[a - 1])):
-                column.append(value)
-        cases.append((f"wide-rows-{max_k}", wide, OfflineDataset(*records)))
+            assortments.append(s)
+            choices.append(a)
+            revenues.append(0.0 if a == 0 else float(wide.revenues[a - 1]))
+        cases.append((f"wide-rows-{max_k}", wide, OfflineDataset(assortments, choices, revenues)))
     return cases
 
 

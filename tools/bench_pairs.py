@@ -11,7 +11,7 @@ change first on odd seeds, so a drift in host speed falls on both sides
 alike.
 
 The output file keeps every run's final JSON line, the seeds, the environment
-each run printed and, per metric, the median and inclusive quartiles of each
+the runs printed (a list if they differ) and, per metric, the median and inclusive quartiles of each
 side plus the number of pairs the change wins by the direction that
 BENCHMARK.json declares for the metric. ``--trace 0`` runs go under
 ``workloads``, ``--trace 1`` runs under ``traced``. If the output file exists,
@@ -42,8 +42,10 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; returns its environment line and its final line."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int
+) -> tuple[dict | None, dict]:
+    """One perfbench run; returns the environment it printed and its final line."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -58,7 +60,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         (json.loads(line)["environment"] for line in lines if line.startswith('{"environment"')),
         None,
     )
-    return {"environment": environment, "result": json.loads(lines[-1])}
+    return environment, json.loads(lines[-1])
 
 
 def spread(values: list[float]) -> dict:
@@ -92,6 +94,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def to_json(value, depth: int = 0) -> str:
+    """JSON with the first four levels one key or item per line and each
+    deeper value (one run, one metric's summary) on one line."""
+    pad = " " * (depth + 1)
+    if depth < 4 and isinstance(value, dict) and value:
+        items = [f"{pad}{json.dumps(k)}: {to_json(v, depth + 1)}" for k, v in value.items()]
+    elif depth < 4 and isinstance(value, list) and value and isinstance(value[0], dict):
+        items = [pad + to_json(v, depth + 1) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + " " * depth + brackets[1]
+
+
 def git_head(checkout: Path) -> str | None:
     """The checkout's commit, suffixed -dirty if its tree has edits; None if
     the checkout is not the top of a git work tree (an exported tree)."""
@@ -122,14 +138,18 @@ def main(argv=None) -> int:
 
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    runs = []
+    runs, environments = [], []
     for seed in args.seeds:
         order = SIDES if seed % 2 == 0 else SIDES[::-1]
         for side in order:
-            out = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
-            runs.append({"seed": seed, "side": side, **out})
-            value = out["result"]["metrics"].get("op_ms.p50", {}).get("value")
-            print(f"seed {seed} {side}: correct={out['result']['correct']} op_ms.p50={value}")
+            environment, result = run_once(
+                checkouts[side], args.workload, seed, args.seconds, args.trace
+            )
+            if environment not in environments:
+                environments.append(environment)
+            runs.append({"seed": seed, "side": side, "result": result})
+            value = result["metrics"].get("op_ms.p50", {}).get("value")
+            print(f"seed {seed} {side}: correct={result['correct']} op_ms.p50={value}")
 
     report = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     report.update(
@@ -142,7 +162,6 @@ def main(argv=None) -> int:
             "change": git_head(checkouts["change"]),
         }
     )
-    environments = [json.loads(e) for e in sorted({json.dumps(r["environment"]) for r in runs})]
     report["environment"] = environments[0] if len(environments) == 1 else environments
     section = report.setdefault("traced" if args.trace else "workloads", {})
     section[args.workload] = {
@@ -151,7 +170,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, better),
         "runs": runs,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(to_json(report) + "\n", encoding="utf-8")
     return 0
 
 
