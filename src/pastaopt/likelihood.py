@@ -33,6 +33,10 @@ __all__ = [
 
 _MAX_HALVINGS = 60  # backtracking steps per fit iteration; 2^-60 is below float resolution
 _DELTA = 0.05  # confidence level of the theoretical radius
+# Slack between a region's Lipschitz bound and alpha. It covers the rounding
+# of an NLL pass, a few ulps of the largest |x_j . theta| per record (about
+# 1e-12 at ||theta|| max_j ||x_j|| = 1000), and of the chained bound itself.
+_BOUND_MARGIN = 1e-9
 
 
 class OfflineDataset:
@@ -155,9 +159,9 @@ def _nll_pass(
     of x_j under the choice probabilities P(j|S;theta), with no-purchase
     contributing the zero vector; both average over records. Accumulation
     happens in per-item weight space so a single (N, d) product yields the
-    gradient. The choice probabilities are computed once per distinct
-    assortment and gathered back to records before any sum, so the sums run
-    in record order.
+    gradient. The choice probabilities, and the mean feature they weight,
+    are computed once per distinct assortment and gathered back to records
+    before any sum over records, so those sums run in record order.
 
     The gathered utilities sit one column per assortment, so the row max is
     a reduction down the short first axis, which numpy runs as one
@@ -180,14 +184,15 @@ def _nll_pass(
         raise FloatingPointError("non-finite likelihood; data or theta out of range")
     if not derivatives:
         return nll, None, None
-    probs = np.exp(cols - log_denom).T[inverse]
-    idx = slots.T[inverse]
-    mask = idx >= 0
     n_items, x = catalog.n_items, catalog.features
+    rows = np.ascontiguousarray(np.exp(cols - log_denom).T)
+    # the mean feature per distinct assortment; padded slots carry zero mass
+    mean_x = np.einsum("ik,ikd->id", rows, x[slots.T])[inverse]
+    probs, idx = rows[inverse], slots.T[inverse]
+    mask = idx >= 0
     item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
     purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
     grad = ((item_prob - purchases) @ x) / dataset.n
-    mean_x = np.einsum("ik,ikd->id", probs, x[idx])  # padded slots carry zero mass
     hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
     return nll, grad, hess
 
@@ -373,11 +378,20 @@ class ConfidenceRegion:
 
     The region is the fit it is centred on plus the radius alpha. It relies
     on one invariant: fit.nll is neg_log_likelihood(dataset, catalog,
-    fit.theta) to the bit, which fit_mle guarantees. Membership remembers
-    the NLL at the last theta it evaluated, keyed by theta's bytes, and
-    every region starts with that memo seeded from the fit, so testing the
-    MLE, or re-testing the iterate the previous gdls call accepted, skips
-    the likelihood pass; the ball and gap tests still run on every call.
+    fit.theta) to the bit, which fit_mle guarantees.
+
+    Membership keeps one anchor: a point theta_m and an upper bound U on the
+    NLL there, seeded from the fit, where U is exact. The NLL is G-Lipschitz
+    with G = 2 max_j ||x_j|| over the catalog, because each record's score
+    sum_j P(j) x_j - x_A has norm at most 2 max_j ||x_j|| (no-purchase
+    counts as x = 0). So a theta in the ball whose bound
+    U + G ||theta - theta_m|| leaves a gap of at most alpha - _BOUND_MARGIN
+    is accepted without a likelihood pass, and the anchor moves to theta
+    with that bound. Any other theta gets the exact pass, reused when theta
+    is the anchor and U is exact, and the anchor moves to theta with the
+    exact value. The bound accepts only points the exact test accepts, so
+    the verdicts are those of a plain neg_log_likelihood(theta) - fit.nll <=
+    alpha; the ball test runs on every call.
     """
 
     fit: MleFit
@@ -385,19 +399,27 @@ class ConfidenceRegion:
     catalog: Catalog
     space: ParamSpace
     alpha: float
-    _last_nll: tuple[bytes, float] = field(init=False, compare=False, repr=False)
+    _lipschitz: float = field(init=False, compare=False, repr=False)
+    # (theta_m, U >= NLL(theta_m), whether U is the exact NLL)
+    _anchor: tuple[np.ndarray, float, bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_last_nll", (self.fit.theta.tobytes(), self.fit.nll))
+        lipschitz = 2.0 * float(np.linalg.norm(self.catalog.features, axis=1).max())
+        object.__setattr__(self, "_lipschitz", lipschitz)
+        object.__setattr__(self, "_anchor", (self.fit.theta.copy(), self.fit.nll, True))
 
     def contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)
         if not self.space.contains(theta):
             return False
-        key = theta.tobytes()
-        if self._last_nll[0] == key:
-            nll = self._last_nll[1]
-        else:
-            nll = neg_log_likelihood(self.dataset, self.catalog, theta)
-            object.__setattr__(self, "_last_nll", (key, nll))
-        return nll - self.fit.nll <= self.alpha
+        anchor, bound, exact = self._anchor
+        step = float(np.linalg.norm(theta - anchor))
+        bound += self._lipschitz * step
+        if bound - self.fit.nll <= self.alpha - _BOUND_MARGIN:
+            if step > 0:
+                object.__setattr__(self, "_anchor", (theta.copy(), bound, False))
+            return True
+        if not (exact and np.array_equal(theta, anchor)):
+            bound = neg_log_likelihood(self.dataset, self.catalog, theta)
+            object.__setattr__(self, "_anchor", (theta.copy(), bound, True))
+        return bound - self.fit.nll <= self.alpha

@@ -267,21 +267,24 @@ def _cardinality_bound(cons: ConstraintSet) -> int | None:
     return None
 
 
-def _top_k_assortment(catalog: Catalog, theta: np.ndarray, k: int) -> Assortment:
+def _top_k_assortment(
+    catalog: Catalog, theta: np.ndarray, k: int, start: Assortment
+) -> Assortment:
     """Exact optimum under "at most k items" by Dinkelbach iteration.
 
     With lam the revenue of the current set S, the k items of largest
     positive gain w_j (r_j - lam) form the best challenger T, and T beats S
     exactly when its gains outweigh those of S, whose gains sum to w0 lam.
-    Starting from the empty set, move to T until no challenger wins: then no
-    assortment of at most k items beats lam. Gains are formed without a
-    rounded lam, and only the items that T and S do not share are compared,
-    so weights spanning many orders of magnitude keep their order. Ties go
-    to the lower index.
+    Starting from start (at most k items), move to T until no challenger
+    wins: then no assortment of at most k items beats lam, whatever the
+    start. Gains are formed without a rounded lam, and only the items that T
+    and S do not share are compared, so weights spanning many orders of
+    magnitude keep their order. Ties go to the lower index.
     """
     w, w0 = _stable_weights(catalog.utilities(theta))
     r = catalog.revenues
     best = np.zeros(len(w), dtype=bool)
+    best[np.asarray(start, dtype=int) - 1] = True
     seen = set()  # guards termination against float ties between two sets
     while True:
         # r_j - lam = (r_j w0 + sum_{i in S} w_i (r_j - r_i)) / (w0 + sum_{i in S} w_i)
@@ -298,20 +301,29 @@ def _top_k_assortment(catalog: Catalog, theta: np.ndarray, k: int) -> Assortment
     return tuple(int(j) + 1 for j in np.flatnonzero(best))
 
 
-def best_assortment(catalog: Catalog, theta: np.ndarray, cons: ConstraintSet) -> Assortment:
+def best_assortment(
+    catalog: Catalog, theta: np.ndarray, cons: ConstraintSet, start: Iterable[int] = ()
+) -> Assortment:
     """Revenue-maximizing assortment at theta.
 
     Cardinality constraints take the exact top-K rule, which stays exact up
-    to ||theta|| = 100 at least. Every other constraint set is built into
-    the LP, solved, and recovered; that route breaks down numerically at
-    large ||theta|| (from about 10 on), raising SimplexError or
-    IntegralityError, because the LP's constraint rows divide by v_j.
+    to ||theta|| = 100 at least; its iteration begins from start, so a
+    start near the optimum (such as the pick at a nearby theta) saves
+    rounds. Every other constraint set is built into the LP, solved, and
+    recovered; that route checks start and then ignores it. It breaks down
+    numerically at large ||theta|| (from about 10 on), raising SimplexError
+    or IntegralityError, because the LP's constraint rows divide by v_j.
+    A nonempty start that cons does not admit, or that names an item beyond
+    the catalog, raises ValueError.
     """
     if cons.n_items != catalog.n_items:
         raise ValueError("constraint set and catalog disagree on the number of items")
+    start = catalog.check_assortment(start)
+    if start and not cons.admits(start):
+        raise ValueError(f"start {start} is not admitted by the constraint set")
     k = _cardinality_bound(cons)
     if k is not None:
-        return _top_k_assortment(catalog, theta, k)
+        return _top_k_assortment(catalog, theta, k, start)
     lp = build_assortment_lp(catalog, theta, cons)
     return recover_assortment(solve_lp(lp), lp.v)
 

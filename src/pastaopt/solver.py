@@ -171,9 +171,10 @@ def pasta_solve(
     """Pessimistic assortment optimization.
 
     Starting from the MLE, alternately (1) take the revenue-optimal assortment
-    at the current preference vector and (2) descend that assortment's revenue
-    within the confidence region. Stops after max_outer_iters, or earlier
-    once the pair (assortment, theta) stops moving.
+    at the current preference vector, searched from the previous pick, and
+    (2) descend that assortment's revenue within the confidence region. Stops
+    after max_outer_iters, or earlier once the pair (assortment, theta) stops
+    moving.
     """
     opts = opts or PastaOptions()
     region = build_region(dataset, catalog, opts)
@@ -181,7 +182,7 @@ def pasta_solve(
     trace = SolveTrace(theta_ml=theta, alpha=region.alpha)
     s_prev: Assortment | None = None
     for t in range(1, opts.max_outer_iters + 1):
-        s_t = best_assortment(catalog, theta, cons)
+        s_t = best_assortment(catalog, theta, cons, start=s_prev or ())
         theta_t = gdls(catalog, s_t, region, theta)
         trace.iterations.append((t, s_t, theta_t, expected_revenue(catalog, s_t, theta_t)))
         settled = s_prev == s_t and float(np.linalg.norm(theta_t - theta)) < 1e-12

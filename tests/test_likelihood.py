@@ -419,7 +419,12 @@ class TestConfidenceRegion:
         assert verdicts[:3] == [True, False, True]
 
     def test_same_theta_is_evaluated_once(self, rng, monkeypatch):
-        region, fit, _, _ = self._region(rng)
+        # alpha admits b but is too small for the Lipschitz bound from a to
+        # b, so every test below is an exact one or the exact memo's reuse
+        region, fit, cat, ds = self._region(rng)
+        a, b = fit.theta, fit.theta + 0.01
+        region = dataclasses.replace(region, alpha=2 * (neg_log_likelihood(ds, cat, b) - fit.nll))
+        assert region._lipschitz * np.linalg.norm(b - a) > region.alpha
         calls = []
         real = likelihood.neg_log_likelihood
 
@@ -428,7 +433,6 @@ class TestConfidenceRegion:
             return real(*args)
 
         monkeypatch.setattr(likelihood, "neg_log_likelihood", counting)
-        a, b = fit.theta, fit.theta + 0.01
         for theta in (a, a.copy(), b, b, a):
             assert region.contains(theta)
         assert [c.tobytes() for c in calls] == [b.tobytes(), a.tobytes()]
@@ -461,6 +465,115 @@ class TestConfidenceRegion:
         alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
         region = ConfidenceRegion(fit, ds, cat, space, alpha)
         assert region.contains(truth)
+
+
+class TestLipschitzBound:
+    """The region's bound U + G ||theta - theta_m|| on the NLL: G is a valid
+    and tight Lipschitz constant, and the bound never changes a verdict."""
+
+    def test_constant_is_attained_on_a_two_item_log(self):
+        # x = +-e1 with +e1 chosen: at theta = -t e1 the score tends to -2 e1,
+        # so the NLL rises at nearly G = 2 per unit step, and any smaller G
+        # would let the bound accept a point just outside the region
+        cat = Catalog(features=np.array([[1.0, 0.0], [-1.0, 0.0]]), revenues=np.ones(2))
+        ds = OfflineDataset([(1, 2)], [1], [1.0])
+        for t in (10.0, 20.0):
+            near, far = np.array([-t, 0.0]), np.array([-t - 1.0, 0.0])
+            fit = likelihood.MleFit(near, False, 0, neg_log_likelihood(ds, cat, near), 1.0)
+            rise = neg_log_likelihood(ds, cat, far) - fit.nll
+            region = ConfidenceRegion(fit, ds, cat, ParamSpace(dim=2), 0.99 * rise)
+            assert region._lipschitz == 2.0
+            assert 0.99 * region._lipschitz <= rise <= region._lipschitz
+            assert not region.contains(far)
+
+    @staticmethod
+    def _reference(region, theta):
+        """Membership without any memo or bound (this module's
+        neg_log_likelihood is not the one the tests below patch)."""
+        gap = neg_log_likelihood(region.dataset, region.catalog, theta) - region.fit.nll
+        return region.space.contains(theta) and gap <= region.alpha
+
+    def _count_passes(self, monkeypatch):
+        passes = []
+        real = likelihood.neg_log_likelihood
+        monkeypatch.setattr(
+            likelihood, "neg_log_likelihood", lambda *args: passes.append(1) or real(*args)
+        )
+        return passes
+
+    @pytest.mark.parametrize("mode", ["empirical", "theoretical"])
+    def test_walks_across_the_boundary_keep_the_exact_verdicts(self, rng, monkeypatch, mode):
+        cat = random_catalog(rng, 6, 3)
+        ds = random_dataset(rng, cat, rng.standard_normal(3) * 0.5, n=200, max_size=4)
+        space = ParamSpace(dim=3, theta_max=10.0)
+        fit = fit_mle(ds, cat, space)
+        alpha = confidence_radius(mode, nll_at_ml=fit.nll, dim=3, n=ds.n, theta_max=10.0)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha)
+        passes = self._count_passes(monkeypatch)
+        tests, verdicts = 0, set()
+        for u in rng.standard_normal((4, 3)):
+            u /= np.linalg.norm(u)
+            lo, hi = 0.0, 1.0  # bracket, then bisect, the boundary's distance along u
+            while self._reference(region, fit.theta + hi * u):
+                lo, hi = hi, 2 * hi
+            for _ in range(40):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if self._reference(region, fit.theta + mid * u) else (lo, mid)
+            out = list(np.linspace(0.0, 1.5, 31)) + [0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001]
+            for f in out + out[::-1]:
+                theta = fit.theta + f * lo * u
+                verdict = region.contains(theta)
+                assert verdict == self._reference(region, theta)
+                tests, verdicts = tests + 1, verdicts | {verdict}
+        assert verdicts == {True, False}
+        assert 0 < len(passes) < tests  # both the bound and the exact pass decided tests
+
+    def test_gdls_with_halved_steps_keeps_the_exact_verdicts(self, rng, monkeypatch):
+        from pastaopt.solver import gdls
+
+        cat = random_catalog(rng, 6, 3)
+        ds = random_dataset(rng, cat, rng.standard_normal(3) * 0.5, n=200, max_size=4)
+        fit = fit_mle(ds, cat, ParamSpace(dim=3, theta_max=10.0))
+        region = ConfidenceRegion(fit, ds, cat, ParamSpace(dim=3, theta_max=10.0), 1e-7)
+        checked, passes = [], []
+        real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
+
+        def counting_nll(*args):
+            passes.append(1)
+            return real_nll(*args)
+
+        def checking_contains(self, theta):
+            verdict = real_contains(self, theta)
+            gap = real_nll(self.dataset, self.catalog, theta) - self.fit.nll
+            assert verdict == (self.space.contains(theta) and gap <= self.alpha)
+            checked.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(likelihood, "neg_log_likelihood", counting_nll)
+        monkeypatch.setattr(ConfidenceRegion, "contains", checking_contains)
+        history = []
+        theta = fit.theta
+        for s in [(1, 2), (3,), (4, 5, 6), (1, 2)]:
+            theta = gdls(cat, s, region, theta, history=history)
+        assert any(step.halvings > 0 for step in history)
+        assert set(checked) == {True, False}
+        assert 0 < len(passes) < len(checked)
+
+    def test_anchor_is_a_copy_of_the_callers_theta(self, rng):
+        cat = random_catalog(rng, 5, 3)
+        ds = random_dataset(rng, cat, rng.standard_normal(3) * 0.5, n=150, max_size=4)
+        space = ParamSpace(dim=3, theta_max=10.0)
+        fit = fit_mle(ds, cat, space)
+        alpha = confidence_radius("empirical", nll_at_ml=fit.nll)
+        region = ConfidenceRegion(fit, ds, cat, space, alpha)
+        theta = fit.theta + 1e-3
+        assert region.contains(theta)
+        anchor = region._anchor[0].copy()
+        assert np.array_equal(anchor, theta)  # accepted by the bound: the anchor moved there
+        theta += 5.0  # inside the ball, far outside the region
+        assert np.array_equal(region._anchor[0], anchor)
+        assert not region.contains(theta)
+        assert not self._reference(region, theta)
 
 
 class TestDatasetCsv:

@@ -160,6 +160,42 @@ class TestBestAssortment:
                 assert abs(v_lp - v_bf) <= 1e-9
                 assert cons.admits(s_lp)
 
+    @pytest.mark.parametrize("norm", [1.0, 10.0, 100.0])
+    def test_every_admissible_start_reaches_the_cold_pick(self, rng, norm):
+        # Dinkelbach's iteration is exact from any admissible start, so a warm
+        # start changes the rounds it takes, never the pick
+        for n in [2, 3, 5, 8, 12, 40, 64] * 4:
+            k, d = int(rng.integers(1, min(n, 16) + 1)), int(rng.integers(1, 5))
+            cat = random_catalog(rng, n, d)
+            theta = rng.standard_normal(d)
+            theta *= norm / np.linalg.norm(theta)
+            cons = cardinality_constraints(n, k)
+            cold = best_assortment(cat, theta, cons)
+            if n <= 20:
+                # by value: weights that underflow to 0 tie sets brute force orders by index
+                v_bf = expected_revenue(cat, brute_force_best(cat, theta, cons), theta)
+                assert abs(expected_revenue(cat, cold, theta) - v_bf) <= 1e-9
+            starts = [(), cold] + [
+                rng.choice(n, size=int(rng.integers(1, k + 1)), replace=False) + 1
+                for _ in range(6)
+            ]
+            for start in starts:
+                assert best_assortment(cat, theta, cons, start=start) == cold
+
+    def test_inadmissible_start_is_rejected(self, rng):
+        cat = random_catalog(rng, 6, 2)
+        theta = rng.standard_normal(2)
+        coeffs = np.zeros((2, 6))
+        coeffs[0, :3] = coeffs[1, 3:] = 1.0
+        blocks = ConstraintSet(coeffs=coeffs, bounds=np.array([1.0, 1.0]))
+        for cons in (cardinality_constraints(6, 2), blocks):
+            for start in [(1, 2, 4), (7,), (0, 1), (2, 2)]:
+                with pytest.raises(ValueError):
+                    best_assortment(cat, theta, cons, start=start)
+        # the LP route checks its start and then ignores it
+        cold = best_assortment(cat, theta, blocks)
+        assert best_assortment(cat, theta, blocks, start=(2, 5)) == cold
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 5: the LP route's absolute pivot tolerance stops "

@@ -192,8 +192,10 @@ class TestPastaSolve:
 
     def test_accepted_iterate_is_not_evaluated_twice(self, monkeypatch):
         # each gdls call re-tests its start, the iterate the previous call
-        # accepted or, for the first, the MLE; the region's memo (seeded from
-        # the fit) answers that test without an NLL pass
+        # accepted or, for the first, the MLE. In the empirical radius the
+        # region's Lipschitz bound answers every test without an NLL pass; in
+        # a radius too small for the bound, the exact memo (seeded from the
+        # fit) still answers each re-test
         counts = {"contains": 0, "nll": 0}
         in_contains = [False]
         real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
@@ -213,10 +215,16 @@ class TestPastaSolve:
         monkeypatch.setattr(likelihood, "neg_log_likelihood", counting_nll)
         monkeypatch.setattr(ConfidenceRegion, "contains", counting_contains)
         inst, ds, cons = small_problem(seed=101)
-        _, trace = pasta_solve(ds, inst.catalog, cons, PastaOptions(max_outer_iters=30))
-        assert len(trace.iterations) == 30 and not trace.converged_early
-        assert counts["contains"] >= 90
-        assert counts["nll"] == counts["contains"] - 30
+        seen = {}
+        for alpha in (None, 1e-3):  # the empirical radius, then a small override
+            counts.update(contains=0, nll=0)
+            opts = PastaOptions(max_outer_iters=30, alpha_override=alpha)
+            _, trace = pasta_solve(ds, inst.catalog, cons, opts)
+            assert len(trace.iterations) == 30 and not trace.converged_early
+            assert counts["contains"] >= 90
+            seen[alpha] = dict(counts)
+        assert seen[None]["nll"] == 0
+        assert 0 < seen[1e-3]["nll"] <= seen[1e-3]["contains"] - 30
 
     def test_deterministic(self):
         inst, ds, cons = small_problem(seed=24)

@@ -22,6 +22,11 @@ p = 0.05 on the optimum):
   unit vector u and k = -1..4 (the far points often leave the region, so
   both verdicts of the likelihood gap test occur), and at every trace
   iterate;
+- for the first seed of each shape, in both alpha modes, the verdicts of a
+  fresh region along a walk from the MLE out across its boundary and back
+  (151 evenly spaced points to 1.5 times the boundary's distance, plus
+  points within 1e-3 and 1e-9 of it), so a membership test that chains
+  state from one call to the next is checked on both sides of the boundary;
 - baseline_solve's pick;
 
 plus run_sweep rows over n in {50, 150} with 3 replications in both alpha
@@ -44,6 +49,7 @@ SHAPES = {
     "small-p": (10, 4, 4, 200, 0.05),
 }
 SEEDS = range(6)
+WALK = list(np.linspace(0.0, 1.5, 151)) + [0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001]
 NORMS = (0.0, 1.0, 10.0, 100.0)
 ALPHA_MODES = ("empirical", "theoretical")
 
@@ -75,6 +81,26 @@ class Digest:
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()
+
+
+def _boundary_walk(pk, region, direction) -> list:
+    """The boundary's distance along direction, bisected from the region's
+    own gap test, and a fresh region's verdicts along WALK out and back."""
+    fit, dataset, catalog = region.fit, region.dataset, region.catalog
+
+    def inside(t: float) -> bool:
+        theta = fit.theta + t * direction
+        gap = pk.neg_log_likelihood(dataset, catalog, theta) - fit.nll
+        return region.space.contains(theta) and gap <= region.alpha
+
+    lo, hi = 0.0, 1.0
+    while inside(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(50):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    fresh = pk.ConfidenceRegion(fit, dataset, catalog, region.space, region.alpha)
+    return [lo] + [fresh.contains(fit.theta + f * lo * direction) for f in WALK + WALK[::-1]]
 
 
 def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
@@ -113,6 +139,9 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
             if out is not None:
                 probes += [theta_t for _, _, theta_t, _ in out[1].iterations]
             digest.add(where + "/contains", [region.contains(theta) for theta in probes])
+        if seed == SEEDS[0] and region is not None:
+            walk = _boundary_walk(pk, region, direction)
+            digest.add(where + "/walk", walk)
     where = label + "/baseline"
     digest.add(where, digest.call(where, pk.baseline_solve, dataset, catalog, cons))
 
