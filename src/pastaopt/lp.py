@@ -319,9 +319,11 @@ def best_assortment(
     if cons.n_items != catalog.n_items:
         raise ValueError("constraint set and catalog disagree on the number of items")
     start = catalog.check_assortment(start)
-    if start and not cons.admits(start):
-        raise ValueError(f"start {start} is not admitted by the constraint set")
     k = _cardinality_bound(cons)
+    # the one all-ones row admits exactly the sets of at most k items
+    admitted = len(start) <= k if k is not None else not start or cons.admits(start)
+    if not admitted:
+        raise ValueError(f"start {start} is not admitted by the constraint set")
     if k is not None:
         return _top_k_assortment(catalog, theta, k, start)
     lp = build_assortment_lp(catalog, theta, cons)
