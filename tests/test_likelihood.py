@@ -17,6 +17,7 @@ from pastaopt import (
     derive_rng,
     fit_mle,
     generate_dataset,
+    gdls,
     generate_instance,
     likelihood,
     neg_log_likelihood,
@@ -529,27 +530,19 @@ class TestLipschitzBound:
         assert 0 < len(passes) < tests  # both the bound and the exact pass decided tests
 
     def test_gdls_with_halved_steps_keeps_the_exact_verdicts(self, rng, monkeypatch):
-        from pastaopt.solver import gdls
-
         cat = random_catalog(rng, 6, 3)
         ds = random_dataset(rng, cat, rng.standard_normal(3) * 0.5, n=200, max_size=4)
-        fit = fit_mle(ds, cat, ParamSpace(dim=3, theta_max=10.0))
-        region = ConfidenceRegion(fit, ds, cat, ParamSpace(dim=3, theta_max=10.0), 1e-7)
-        checked, passes = [], []
-        real_nll, real_contains = likelihood.neg_log_likelihood, ConfidenceRegion.contains
+        space = ParamSpace(dim=3, theta_max=10.0)
+        fit = fit_mle(ds, cat, space)
+        region = ConfidenceRegion(fit, ds, cat, space, 1e-7)
+        passes, checked = self._count_passes(monkeypatch), []
+        real_contains, reference = ConfidenceRegion.contains, self._reference
 
-        def counting_nll(*args):
-            passes.append(1)
-            return real_nll(*args)
+        def checking_contains(region, theta):
+            checked.append(real_contains(region, theta))
+            assert checked[-1] == reference(region, theta)
+            return checked[-1]
 
-        def checking_contains(self, theta):
-            verdict = real_contains(self, theta)
-            gap = real_nll(self.dataset, self.catalog, theta) - self.fit.nll
-            assert verdict == (self.space.contains(theta) and gap <= self.alpha)
-            checked.append(verdict)
-            return verdict
-
-        monkeypatch.setattr(likelihood, "neg_log_likelihood", counting_nll)
         monkeypatch.setattr(ConfidenceRegion, "contains", checking_contains)
         history = []
         theta = fit.theta
@@ -570,7 +563,8 @@ class TestLipschitzBound:
         assert region.contains(theta)
         anchor = region._anchor[0].copy()
         assert np.array_equal(anchor, theta)  # accepted by the bound: the anchor moved there
-        theta += 5.0  # inside the ball, far outside the region
+        theta += 5.0
+        assert space.contains(theta)  # inside the ball, far outside the region
         assert np.array_equal(region._anchor[0], anchor)
         assert not region.contains(theta)
         assert not self._reference(region, theta)
