@@ -220,6 +220,6 @@ def run_diagnostic_suite(trials: int = 500, seed: int = 2024) -> list[tuple[str,
             worst["L1 <= 2 sqrt(2) sqrt(H^2)"], l1 - 2 * np.sqrt(2.0) * np.sqrt(h2[(1, 2)])
         )
     return [
-        (name, violation <= slack, f"worst violation {violation:.3e}")
+        (name, bool(violation <= slack), f"worst violation {violation:.3e}")
         for name, violation in worst.items()
     ]

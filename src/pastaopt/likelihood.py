@@ -39,17 +39,31 @@ _DELTA = 0.05  # confidence level of the theoretical radius
 _BOUND_MARGIN = 1e-9
 
 
+def _distinct_assortments(assortments: Iterable[Iterable[int]]) -> tuple[list, np.ndarray]:
+    """The normalized distinct assortments of a log, in order of first
+    appearance, and each record's index among them. as_assortment runs once
+    per distinct input tuple, so the first invalid assortment raises."""
+    index_of: dict[Assortment, int] = {}
+    index_of_input: dict[tuple, int] = {}
+    inverse = []
+    for key in map(tuple, assortments):
+        if key not in index_of_input:
+            index_of_input[key] = index_of.setdefault(as_assortment(key), len(index_of))
+        inverse.append(index_of_input[key])
+    return list(index_of), np.array(inverse, dtype=int)
+
+
 class OfflineDataset:
     """n records of (assortment shown, item chosen, revenue realized).
 
-    Assortments are sorted tuples of 1-based indices; choice 0 means no
-    purchase. Instances are immutable by convention; a log that repeats an
-    assortment normalizes it once and shares the tuple between its records.
-    The matrices for vectorized likelihood evaluation are built lazily and
-    cached: one int slot matrix with a column per distinct assortment, in
-    order of first appearance, and an inverse map from each record to its
-    column, so a log that repeats assortments pays one log-sum-exp per
-    distinct assortment.
+    Assortments are sorted tuples of 1-based indices, shared between the
+    records that repeat one; choice 0 means no purchase. Instances are
+    immutable by convention. The constructor checks every record and builds
+    the likelihood's layout: _slots (max_k, distinct assortments) holds the
+    0-based items of each distinct assortment, in order of first appearance,
+    padded with -2; _inverse maps each record to its column; _chosen is the
+    0-based choice. In the utilities extended by (-inf, 0.0) a pad reads
+    -inf, whose exp is exactly 0, and a no-purchase choice (-1) reads 0.0.
     """
 
     def __init__(
@@ -60,24 +74,36 @@ class OfflineDataset:
     ):
         if not (len(assortments) == len(choices) == len(revenues)):
             raise ValueError("assortments, choices, revenues must have equal length")
-        normalized: dict[tuple, Assortment] = {}  # one as_assortment per distinct input
-        self.assortments: list[Assortment] = []
-        for s in assortments:
-            key = tuple(s)
-            if key not in normalized:
-                normalized[key] = as_assortment(key)
-            self.assortments.append(normalized[key])
-        self.choices = np.asarray(choices, dtype=int)
+        if len(assortments) == 0:
+            raise ValueError("dataset is empty")
+        distinct, inverse = _distinct_assortments(assortments)
+        self.assortments: list[Assortment] = [distinct[i] for i in inverse.tolist()]
+        values = np.asarray(choices, dtype=float)
+        integral = np.isfinite(values) & (values == np.round(values))
+        self.choices = np.where(integral, values, -1).astype(int)  # -1 is never offered
         self.revenues = np.asarray(revenues, dtype=float)
-        for s, a in zip(self.assortments, self.choices):
-            if not s:
+        slots = np.full((max(map(len, distinct)), len(distinct)), -1, dtype=int)
+        for i, s in enumerate(distinct):
+            slots[: len(s), i] = s
+        slots -= 1  # 1-based items to 0-based, pads -1 to -2
+        chosen = self.choices - 1  # -1 marks no purchase
+        hit = np.zeros(len(chosen), dtype=bool)
+        for row in slots:  # row by row, so the gather holds n ints, not max_k * n
+            hit |= row[inverse] == chosen
+        offered = (chosen == -1) | ((chosen >= 0) & hit)  # a pad (-2) hits a choice of -1
+        bad = (slots < 0).all(axis=0)[inverse] | ~offered
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not self.assortments[i]:
                 raise ValueError("dataset records must have nonempty assortments")
-            if a != 0 and a not in s:
-                raise ValueError(f"choice {a} not offered in assortment {s}")
+            a = int(values[i]) if integral[i] else values[i]
+            raise ValueError(f"choice {a} not offered in assortment {self.assortments[i]}")
         if np.any(self.revenues < 0):
             raise ValueError("revenues must be nonnegative")
-        self._max_item = max((s[-1] for s in self.assortments), default=0)
-        self._slots: tuple | None = None
+        if not np.all(np.isfinite(self.revenues)):
+            raise ValueError("revenues must be finite and nonnegative")
+        self._slots, self._inverse, self._chosen = slots, inverse, chosen
+        self._max_item = int(slots.max()) + 1
 
     @property
     def n(self) -> int:
@@ -86,39 +112,6 @@ class OfflineDataset:
     def records(self) -> Iterator[tuple[Assortment, int, float]]:
         for s, a, r in zip(self.assortments, self.choices, self.revenues):
             yield s, int(a), float(r)
-
-    def _matrices(self, catalog: Catalog) -> tuple:
-        """The slot matrix over the distinct assortments, the record-to-column
-        inverse map, and the 0-based choices.
-
-        The slot matrix has shape (max_k, distinct assortments): column i
-        holds the 0-based items of the i-th distinct assortment, padded with
-        -2 below them. The likelihood indexes the utilities extended by
-        (-inf, 0.0) with it, so a pad slot (-2) reads -inf, whose exp is
-        exactly 0, and a no-purchase choice (-1) reads 0.0. It is the only
-        per-slot array the dataset keeps; the pad mask is slots >= 0. Built
-        once per dataset; every call checks that the catalog has all the
-        items the records offer.
-        """
-        if self._slots is None:
-            if self.n == 0:
-                raise ValueError("dataset is empty")
-            row_of: dict[Assortment, int] = {}
-            inverse = np.array(
-                [row_of.setdefault(s, len(row_of)) for s in self.assortments], dtype=int
-            )
-            max_k = max(len(s) for s in row_of)
-            slots = np.full((max_k, len(row_of)), -1, dtype=int)
-            for i, s in enumerate(row_of):
-                slots[: len(s), i] = s
-            slots -= 1  # 1-based items to 0-based, pads -1 to -2
-            chosen = self.choices - 1  # -1 marks no purchase
-            self._slots = (slots, inverse, chosen)
-        if self._max_item > catalog.n_items:
-            raise ValueError(
-                f"dataset offers item {self._max_item} beyond the {catalog.n_items}-item catalog"
-            )
-        return self._slots
 
     # CSV format: header sample_id,assortment,choice,revenue with the
     # assortment as semicolon-joined sorted 1-based indices.
@@ -138,13 +131,16 @@ class OfflineDataset:
             if header != ["sample_id", "assortment", "choice", "revenue"]:
                 raise ValueError(f"unexpected dataset CSV header: {header}")
             for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(header)}"
-                    )
-                assortments.append(tuple(int(t) for t in row[1].split(";") if t))
-                choices.append(int(row[2]))
-                revenues.append(float(row[3]))
+                try:
+                    _, members, choice, revenue = row
+                    assortments.append(tuple(int(t) for t in members.split(";") if t))
+                    choices.append(int(choice))
+                    revenues.append(float(revenue))
+                except ValueError as exc:  # a wrong field count fails the unpacking
+                    problem = f"an unparsable field: {exc}"
+                    if len(row) != len(header):
+                        problem = f"{len(row)} fields, expected {len(header)}"
+                    raise ValueError(f"{path}: line {reader.line_num} has {problem}") from None
         return cls(assortments, choices, revenues)
 
 
@@ -171,9 +167,11 @@ def _nll_pass(
     the order the per-record evaluation uses, so the results keep their
     bytes.
     """
-    if dataset.n == 0:
-        raise ValueError("dataset is empty")
-    slots, inverse, chosen = dataset._matrices(catalog)
+    if dataset._max_item > catalog.n_items:
+        raise ValueError(
+            f"dataset offers item {dataset._max_item} beyond the {catalog.n_items}-item catalog"
+        )
+    slots, inverse, chosen = dataset._slots, dataset._inverse, dataset._chosen
     ue = np.concatenate((catalog.utilities(theta), (-np.inf, 0.0)))
     cols = ue[slots]
     m = np.maximum(0.0, cols.max(axis=0))

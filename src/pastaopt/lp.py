@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-9
+_INDICATOR_TOL = 1e-6  # largest distance of a recovered indicator from {0, 1}
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50_000
 
@@ -244,18 +245,18 @@ def solve_lp(lp: LpInstance) -> LpSolution:
     return LpSolution(w=w, objective=float(lp.objective @ w))
 
 
-def recover_assortment(sol: LpSolution, v: np.ndarray, atol: float = 1e-6) -> Assortment:
+def recover_assortment(sol: LpSolution, v: np.ndarray) -> Assortment:
     """Map the LP solution back to a binary assortment via gamma_j = w_j / (v_j w_0).
 
-    Total unimodularity makes every vertex integral, so any gamma_j farther
-    than atol from {0, 1} is treated as a solver bug rather than rounded.
+    Total unimodularity makes every vertex integral, so a gamma_j farther than
+    _INDICATOR_TOL from {0, 1} is a solver bug rather than a value to round.
     """
     w0 = float(sol.w[0])
     if w0 <= 1e-12:
         raise IntegralityError(f"degenerate LP solution with w_0 = {w0}")
     gamma = sol.w[1:] / (np.asarray(v, dtype=float) * w0)
     off = np.minimum(np.abs(gamma), np.abs(gamma - 1.0))
-    if float(off.max(initial=0.0)) > atol:
+    if float(off.max(initial=0.0)) > _INDICATOR_TOL:
         raise IntegralityError(f"non-integral indicator recovered: {gamma}")
     return tuple(int(j + 1) for j in np.flatnonzero(gamma > 0.5))
 

@@ -34,8 +34,8 @@ def as_assortment(members: Iterable[int]) -> Assortment:
     allowed here; operations that cannot accept the empty assortment check
     for it themselves.
     """
-    s = tuple(sorted(int(i) for i in members))
-    if any(i < 1 for i in s):
+    s = tuple(sorted(map(int, members)))
+    if s and s[0] < 1:  # s is sorted, so s[0] is its least index
         raise ValueError(f"item indices must be >= 1, got {s}")
     if len(set(s)) != len(s):
         raise ValueError(f"duplicate item indices in assortment {s}")

@@ -132,6 +132,45 @@ class TestFitAndSolve:
             assert code == 1
             assert "line 4 has" in capsys.readouterr().err
 
+    def test_dataset_row_with_unparsable_field_is_validation_error(
+        self, generated, tmp_path, capsys
+    ):
+        lines = (generated / "dataset.csv").read_text().splitlines()
+        for bad_row in ("3,1;2,x,0.5", "3,1;y,1,0.5", "3,1;2,1,z"):
+            bad = tmp_path / "bad.csv"
+            bad.write_text("\n".join(lines[:3] + [bad_row] + lines[4:]) + "\n")
+            code = run_cli(
+                "fit", "--instance", str(generated / "instance.json"), "--data", str(bad),
+                "--out", str(tmp_path / "theta.json"),
+            )
+            assert code == 1
+            assert "line 4 has an unparsable field" in capsys.readouterr().err
+
+    def test_header_only_dataset_is_validation_error(self, generated, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("sample_id,assortment,choice,revenue\n")
+        code = run_cli(
+            "fit", "--instance", str(generated / "instance.json"), "--data", str(empty),
+            "--out", str(tmp_path / "theta.json"),
+        )
+        assert code == 1
+        assert "dataset is empty" in capsys.readouterr().err
+
+    def test_non_finite_revenue_is_validation_error(self, generated, tmp_path, capsys):
+        lines = (generated / "dataset.csv").read_text().splitlines()
+        nan_row = lines[3].rsplit(",", 1)[0] + ",nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines[:3] + [nan_row] + lines[4:]) + "\n")
+        code = run_cli(
+            "solve", "--method", "pasta",
+            "--instance", str(generated / "instance.json"),
+            "--data", str(bad),
+            "--T", "2",
+            "--out", str(tmp_path / "pasta.json"),
+        )
+        assert code == 1
+        assert "revenues must be finite and nonnegative" in capsys.readouterr().err
+
     def test_malformed_instance_json_is_validation_error(self, generated, tmp_path, capsys):
         obj = json.loads((generated / "instance.json").read_text())
         no_features = {k: v for k, v in obj.items() if k != "features"}

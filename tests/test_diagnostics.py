@@ -171,3 +171,4 @@ class TestPopulationLoss:
 def test_diagnostic_suite_passes():
     results = run_diagnostic_suite(trials=150, seed=7)
     assert all(ok for _, ok, _ in results), results
+    assert all(type(ok) is bool for _, ok, _ in results), results

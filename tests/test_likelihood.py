@@ -172,10 +172,22 @@ class TestDistinctRows:
 
     def test_layout_dedups_in_order_of_first_appearance(self):
         ds = OfflineDataset([(2, 3), (1,), (2, 3), (1,), (4, 1)], [3, 0, 2, 1, 4], [1.0] * 5)
-        slots, inverse, chosen = ds._matrices(catalog_1d([0.0] * 4, [1.0] * 4))
-        assert inverse.tolist() == [0, 1, 0, 1, 2]
-        assert slots.tolist() == [[1, 0, 0], [2, -2, 3]]  # one column per row, pads at -2
-        assert chosen.tolist() == [2, -1, 1, 0, 3]
+        assert ds._inverse.tolist() == [0, 1, 0, 1, 2]
+        assert ds._slots.tolist() == [[1, 0, 0], [2, -2, 3]]  # one column per row, pads at -2
+        assert ds._chosen.tolist() == [2, -1, 1, 0, 3]
+
+    def test_likelihood_calls_do_not_regroup_the_log(self, monkeypatch):
+        cat = catalog_1d([0.5, -0.5, 0.0], [1.0] * 3)
+        ds = OfflineDataset([(1, 2), (3,), (1, 2), (2, 3)], [1, 0, 2, 3], [1.0, 0.0, 1.0, 1.0])
+        calls = []
+        for name in ("_distinct_assortments", "as_assortment"):
+            real = getattr(likelihood, name)
+            monkeypatch.setattr(
+                likelihood, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        neg_log_likelihood(ds, cat, np.ones(1))
+        fit_mle(ds, cat)
+        assert calls == []
 
     @pytest.mark.parametrize("norm", [0.0, 1.0, 10.0, 100.0])
     def test_matches_per_record_reference(self, norm):
@@ -257,6 +269,27 @@ class TestNegLogLikelihood:
             OfflineDataset([(1, 2)], [3], [1.0])
         with pytest.raises(ValueError):
             OfflineDataset([()], [0], [0.0])
+
+    def test_empty_log_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            OfflineDataset([], [], [])
+
+    def test_choice_of_minus_one_is_not_offered(self):
+        # 0-based, a choice of -1 is -2, the pad value of a short assortment
+        with pytest.raises(ValueError) as caught:
+            OfflineDataset([(1, 2, 3), (1, 2)], [1, -1], [1.0, 0.0])
+        assert str(caught.value) == "choice -1 not offered in assortment (1, 2)"
+
+    def test_fractional_choice_is_rejected(self):
+        with pytest.raises(ValueError, match="choice 1.7 not offered"):
+            OfflineDataset([(1, 2)], [1.7], [1.0])
+        ds = OfflineDataset([(1, 2)], [1.0], [1.0])
+        assert ds.choices.tolist() == [1] and ds.choices.dtype == np.int64
+
+    @pytest.mark.parametrize("revenue", [math.nan, math.inf])
+    def test_non_finite_revenue_is_rejected(self, revenue):
+        with pytest.raises(ValueError, match="revenues must be finite and nonnegative"):
+            OfflineDataset([(1,), (1,)], [1, 1], [1.0, revenue])
 
     def test_each_distinct_input_assortment_is_normalized_once(self, monkeypatch):
         calls = []

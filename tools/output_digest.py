@@ -30,8 +30,17 @@ p = 0.05 on the optimum):
 - baseline_solve's pick;
 
 plus run_sweep rows over n in {50, 150} with 3 replications in both alpha
-modes, without wall_time_ms. Floats enter as float.hex() or raw array
-bytes, and a call that raises enters as its exception type and message.
+modes, without wall_time_ms, plus the EDGE_LOGS below: each is built as
+an OfflineDataset and evaluated by neg_log_likelihood on a 4-item catalog,
+and enters as its records, its likelihood layout (slot matrix, inverse map
+and 0-based choices) and the NLL, or as the first exception either step
+raises. Floats enter as float.hex() or raw array bytes, and a call that
+raises enters as its exception type and message.
+
+EDGE_LOGS leaves out two malformed inputs whose handling changed when the
+layout moved into the constructor: a non-finite revenue (accepted before,
+rejected since) and a fractional choice (truncated before, rejected since).
+With them the digest would differ across that change by design.
 """
 
 from __future__ import annotations
@@ -52,6 +61,29 @@ SEEDS = range(6)
 WALK = list(np.linspace(0.0, 1.5, 151)) + [0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001]
 NORMS = (0.0, 1.0, 10.0, 100.0)
 ALPHA_MODES = ("empirical", "theoretical")
+# name: (assortments, choices, revenues), each log on EDGE_CATALOG at EDGE_THETA
+EDGE_LOGS = {
+    "empty": ([], [], []),
+    "empty-assortment-at-record-3": (
+        [(1,), (2, 3), (1, 4), (), (2,)], [1, 0, 4, 0, 2], [1.0, 0.0, 0.9, 0.0, 0.8]
+    ),
+    "choice-not-offered": ([(1, 2), (3,), (1, 2)], [1, 0, 4], [1.0, 0.0, 0.9]),
+    "choice-minus-one": ([(1, 2, 3), (1, 2)], [1, -1], [1.0, 0.0]),
+    "duplicate-item": ([(1,), (2, 2)], [0, 2], [0.0, 0.8]),
+    "item-zero": ([(1,), (0, 1)], [0, 1], [0.0, 1.0]),
+    "item-beyond-catalog": ([(1,), (2, 5)], [1, 5], [1.0, 0.5]),
+    "raw-orders": (
+        [(3, 1), [1, 3], (1, 3), (2,), (3, 1, 4), (4, 3, 1), [3, 1]],
+        [1, 3, 0, 2, 4, 0, 3],
+        [1.0, 0.6, 0.0, 0.8, 0.9, 0.0, 0.6],
+    ),
+    "negative-revenue": ([(1,), (2,)], [1, 2], [1.0, -0.5]),
+}
+EDGE_CATALOG = (
+    [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.5, -1.0]],  # features
+    [1.0, 0.8, 0.6, 0.9],  # revenues
+)
+EDGE_THETA = (0.5, -0.25)
 
 
 def _encode(value) -> bytes:
@@ -146,6 +178,32 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
     digest.add(where, digest.call(where, pk.baseline_solve, dataset, catalog, cons))
 
 
+def _layout(dataset, catalog) -> tuple:
+    """(slot matrix, inverse map, 0-based choices): the dataset's attributes,
+    or what _matrices(catalog) returns in trees that built them lazily."""
+    if hasattr(dataset, "_matrices"):
+        return dataset._matrices(catalog)
+    return dataset._slots, dataset._inverse, dataset._chosen
+
+
+def _add_edge_logs(digest: Digest, pk) -> None:
+    features, revenues = EDGE_CATALOG
+    catalog = pk.Catalog(features=np.array(features), revenues=np.array(revenues))
+    theta = np.array(EDGE_THETA)
+
+    def build_and_evaluate(assortments, choices, revenues):
+        dataset = pk.OfflineDataset(assortments, choices, revenues)
+        return dataset, pk.neg_log_likelihood(dataset, catalog, theta)
+
+    for name, log in EDGE_LOGS.items():
+        where = f"edge/{name}"
+        out = digest.call(where, build_and_evaluate, *log)
+        if out is not None:
+            dataset, nll = out
+            records = (dataset.assortments, dataset.choices, dataset.revenues)
+            digest.add(where, *records, *_layout(dataset, catalog), nll)
+
+
 def output_digest(src_dir: str) -> str:
     sys.path.insert(0, src_dir)
     import pastaopt as pk
@@ -165,6 +223,7 @@ def output_digest(src_dir: str) -> str:
         for r in pk.run_sweep(cfg):
             row = (r.sweep_var, r.sweep_value, r.rep, r.method, r.regret, r.accuracy)
             digest.add(f"sweep-{mode}", *row)
+    _add_edge_logs(digest, pk)
     return digest.hexdigest()
 
 
