@@ -22,7 +22,7 @@ import numpy as np
 
 from .lp import best_assortment, cardinality_constraints
 from .model import Assortment, Catalog, _choice_cdf, as_assortment, expected_revenue
-from .likelihood import OfflineDataset, _distinct_assortments
+from .likelihood import OfflineDataset
 from .rng import derive_rng
 
 __all__ = [
@@ -289,24 +289,25 @@ def generate_dataset(
     one double u_i = random() per record, drawn in one call, and record i's
     choice is sample_choice's outcome for u_i: cdf.searchsorted(u_i,
     side="right"), where cdf is the running sum of the true choice masses of
-    S_i's items, then no purchase, divided by its last entry (one cdf per
-    distinct assortment); a non-finite or negative mass raises ValueError.
+    S_i's items, then no purchase, divided by its last entry; a non-finite
+    or negative mass raises ValueError. One pass over the records forms
+    each distinct assortment's cdf at its first record; the cdfs are freed
+    before the dataset groups the log.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     assort_rng, choice_rng = rng.spawn(2)
     catalog = instance.catalog
     assortments = [sample_assortment(instance, design, assort_rng) for _ in range(n)]
-    distinct, inverse = _distinct_assortments(assortments)
     utilities = catalog.utilities(instance.theta_star)
     u = choice_rng.random(n)
     choices = np.empty(n, dtype=int)
-    order = np.argsort(inverse, kind="stable")  # records grouped by assortment, in record order
-    ends = np.cumsum(np.bincount(inverse)).tolist()
-    for s, start, end in zip(distinct, [0] + ends, ends):
-        rows = order[start:end]
-        cdf = _choice_cdf(utilities, catalog.check_assortment(s))
-        outcomes = np.append(np.asarray(s, dtype=int), 0)  # position len(s) is no purchase
-        choices[rows] = outcomes[cdf.searchsorted(u[rows], side="right")]
+    cdfs: dict[Assortment, np.ndarray] = {}
+    for i, (s, u_i) in enumerate(zip(assortments, u)):
+        if s not in cdfs:
+            cdfs[s] = _choice_cdf(utilities, catalog.check_assortment(s))
+        k = int(cdfs[s].searchsorted(u_i, side="right"))
+        choices[i] = s[k] if k < len(s) else 0
+    del cdfs  # no cdf stays alive while the dataset groups the log
     revenues = np.append(0.0, catalog.revenues)[choices]
     return OfflineDataset(assortments, choices, revenues)

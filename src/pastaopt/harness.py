@@ -210,8 +210,8 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
                 raise ValueError(
                     f"{path}: line {reader.line_num} has {len(rec)} fields, expected {len(header)}"
                 )
-            rows.append(
-                ResultRow(
+            try:
+                row = ResultRow(
                     sweep_var=rec[0],
                     sweep_value=float(rec[1]),
                     rep=int(rec[2]),
@@ -220,7 +220,10 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
                     accuracy=float(rec[5]),
                     wall_time_ms=float(rec[6]),
                 )
-            )
+            except ValueError as exc:
+                where = f"{path}: line {reader.line_num}"
+                raise ValueError(f"{where} has an unparsable field: {exc}") from None
+            rows.append(row)
     return rows
 
 

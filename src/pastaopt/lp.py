@@ -64,8 +64,10 @@ class IntegralityError(RuntimeError):
 class ConstraintSet:
     """Linear inequalities A gamma <= b over binary indicators gamma.
 
-    The matrix is taken on trust to be totally unimodular; the constructors
-    provided here (cardinality) always produce one.
+    Coefficients and bounds must be finite integers, so that a totally
+    unimodular matrix has integral vertices. The matrix is taken on trust to
+    be totally unimodular; the constructors provided here (cardinality)
+    always produce one.
     """
 
     coeffs: np.ndarray
@@ -76,8 +78,9 @@ class ConstraintSet:
         bounds = np.asarray(self.bounds, dtype=float)
         if coeffs.ndim != 2 or bounds.shape != (coeffs.shape[0],):
             raise ValueError("coeffs must be (M, N) with one bound per row")
-        if not np.array_equal(coeffs, np.round(coeffs)):
-            raise ValueError("constraint coefficients must be integers")
+        for name, values in (("coefficients", coeffs), ("bounds", bounds)):
+            if not (np.isfinite(values).all() and np.array_equal(values, np.round(values))):
+                raise ValueError(f"constraint {name} must be finite integers, got {values}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "bounds", bounds)
 
@@ -91,6 +94,8 @@ class ConstraintSet:
 
     def admits(self, members: Iterable[int]) -> bool:
         s = as_assortment(members)
+        if s and s[-1] > self.n_items:
+            raise ValueError(f"assortment {s} names items outside 1..{self.n_items}")
         gamma = np.zeros(self.n_items)
         gamma[np.asarray(s, dtype=int) - 1] = 1.0
         return bool(np.all(self.coeffs @ gamma <= self.bounds + 1e-12))
@@ -264,7 +269,7 @@ def recover_assortment(sol: LpSolution, v: np.ndarray) -> Assortment:
 def _cardinality_bound(cons: ConstraintSet) -> int | None:
     """K when cons is the single all-ones row sum_j gamma_j <= K with K >= 1."""
     if cons.n_rows == 1 and np.all(cons.coeffs == 1.0) and cons.bounds[0] >= 1:
-        return int(np.floor(cons.bounds[0]))
+        return int(cons.bounds[0])
     return None
 
 

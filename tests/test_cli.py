@@ -220,6 +220,19 @@ class TestSweepAndPlot:
         assert code == 1
         assert "line 3 has 5 fields" in capsys.readouterr().err
 
+    def test_plot_rejects_unparsable_field(self, tmp_path, capsys):
+        bad = tmp_path / "abc.csv"
+        bad.write_text(
+            "sweep_var,sweep_value,rep,method,regret,accuracy,wall_time_ms\n"
+            "n,20,0,pasta,0.1,0.5,1.0\n"
+            "n,20,0,baseline,abc,0.5,1.0\n"
+        )
+        code = run_cli("plot", "--metric", "regret", "--input", str(bad), "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3 has an unparsable field" in err
+        assert "could not convert string to float: 'abc'" in err
+
 
 class TestDiag:
     def test_diag_passes(self, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,7 @@ from pastaopt import (
     sample_assortment,
     sample_choice,
 )
-from pastaopt import datagen
+from pastaopt import datagen, likelihood
 
 
 def comb_oracle(n: int, k: int) -> int:
@@ -360,6 +361,7 @@ BATCH_CASES = {
     "n=1": (40, 8, 16, 1, 0.9, 1.0),
     "norm-100": (10, 3, 4, 500, 0.5, 100.0),
     "norm-100-flipped": (10, 3, 4, 500, 0.5, -100.0),
+    "full-coverage": (10, 8, 4, 5000, 0.01, 1.0),
 }
 
 
@@ -381,6 +383,10 @@ class TestBatchedChoices:
             ), seed
             if case == "mostly-distinct":
                 assert len(set(ds.assortments)) > n / 2
+            if case == "full-coverage":
+                # sets other than s_star repeat too
+                repeats = Counter(s for s in ds.assortments if s != inst.s_star)
+                assert sum(c > 1 for c in repeats.values()) > 100
             if case == "norm-100-flipped":
                 # utilities of 60 and more leave the smaller masses below the
                 # resolution of the running sum, so cdf entries tie at 1.0
@@ -419,3 +425,49 @@ class TestBatchedChoices:
                 k = int(theirs.choice(len(s) + 1, p=masses))
                 assert a == (0 if k == len(s) else s[k])
                 assert ours.random() == theirs.random()
+
+    def test_log_is_grouped_once(self, monkeypatch):
+        """One grouping, by the dataset, and one cdf per distinct assortment."""
+        assert not hasattr(datagen, "_distinct_assortments")
+        inst = generate_instance(InstanceConfig(n_items=10, k=4, dim=4, seed=25))
+        design = SamplingDesign(p=0.3, n_items=10, k=4)
+        groupings, cdfs = [], []
+        real_group, real_cdf = likelihood._distinct_assortments, datagen._choice_cdf
+        monkeypatch.setattr(
+            likelihood,
+            "_distinct_assortments",
+            lambda assortments: groupings.append(assortments) or real_group(assortments),
+        )
+        monkeypatch.setattr(
+            datagen, "_choice_cdf", lambda u, s: cdfs.append(s) or real_cdf(u, s)
+        )
+        ds = generate_dataset(inst, design, 400, derive_rng(25, 0, "ds"))
+        assert len(groupings) == 1
+        assert sorted(cdfs) == sorted(set(ds.assortments))
+
+    def test_no_cdf_is_alive_while_the_dataset_is_built(self, monkeypatch):
+        inst = generate_instance(InstanceConfig(n_items=10, k=4, dim=4, seed=26))
+        design = SamplingDesign(p=0.3, n_items=10, k=4)
+        refs, alive = [], []
+        real_cdf, real_dataset = datagen._choice_cdf, datagen.OfflineDataset
+
+        def tracked_cdf(utilities, s):
+            cdf = real_cdf(utilities, s)
+            refs.append(weakref.ref(cdf))
+            return cdf
+
+        def checked_dataset(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_dataset(*args)
+
+        monkeypatch.setattr(datagen, "_choice_cdf", tracked_cdf)
+        monkeypatch.setattr(datagen, "OfflineDataset", checked_dataset)
+        generate_dataset(inst, design, 200, derive_rng(26, 0, "ds"))
+        assert len(refs) > 1 and alive == [0]
+
+    def test_optimum_beyond_the_catalog_is_a_value_error(self):
+        inst = generate_instance(InstanceConfig(n_items=6, k=2, dim=2, seed=27))
+        broken = dataclasses.replace(inst, s_star=(2, 7))
+        design = SamplingDesign(p=0.9, n_items=6, k=2)
+        with pytest.raises(ValueError, match="beyond catalog size 6"):
+            generate_dataset(broken, design, 20, derive_rng(27, 0, "ds"))

@@ -48,6 +48,26 @@ class TestCardinalityConstraints:
             cardinality_constraints(3, 4)
 
 
+class TestConstraintSet:
+    @pytest.mark.parametrize("bound", [0.5, np.nan, np.inf, -np.inf])
+    def test_bounds_must_be_finite_integers(self, bound):
+        coeffs = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="bounds must be finite integers"):
+            ConstraintSet(coeffs=coeffs, bounds=np.array([1.0, bound]))
+
+    @pytest.mark.parametrize("coeff", [0.5, np.nan, np.inf])
+    def test_coefficients_must_be_finite_integers(self, coeff):
+        with pytest.raises(ValueError, match="coefficients must be finite integers"):
+            ConstraintSet(coeffs=np.array([[1.0, coeff]]), bounds=np.array([1.0]))
+
+    def test_admits_rejects_items_beyond_its_range(self):
+        cons = cardinality_constraints(3, 2)
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            cons.admits((4,))
+        with pytest.raises(ValueError):
+            cons.admits((0, 1))
+
+
 class TestHandInstances:
     def test_single_item_lp(self):
         # max 0.6 w1 st w1 + w0 = 1, w1 <= w0: optimum w = (0.5, 0.5)
@@ -198,7 +218,7 @@ class TestBestAssortment:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: the LP route's absolute pivot tolerance stops "
+        reason="ROADMAP item 7: the LP route's absolute pivot tolerance stops "
         "at a non-optimal vertex at large |theta| (instance 162)",
     )
     def test_two_block_large_theta_silent_wrong_pick(self):

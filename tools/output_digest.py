@@ -29,6 +29,12 @@ p = 0.05 on the optimum):
   state from one call to the next is checked on both sides of the boundary;
 - baseline_solve's pick;
 
+plus the generated logs alone (no fit, no solve) at FULL_COVERAGE, a
+10-item shape whose 5000 records repeat many sets besides the optimum;
+plus best_assortment's picks on LP_CASES random catalogs at ||theta|| <= 1
+under two constraint sets that take the LP route (at most k1 of the first
+half of the items and k2 of the rest; at most k items with at least one of
+items 1-2) and one set that admits no assortment;
 plus run_sweep rows over n in {50, 150} with 3 replications in both alpha
 modes, without wall_time_ms, plus the EDGE_LOGS below: each is built as
 an OfflineDataset and evaluated by neg_log_likelihood on a 4-item catalog,
@@ -58,6 +64,8 @@ SHAPES = {
     "small-p": (10, 4, 4, 200, 0.05),
 }
 SEEDS = range(6)
+FULL_COVERAGE = (10, 8, 4, 5000, 0.01)
+LP_CASES = 60
 WALK = list(np.linspace(0.0, 1.5, 151)) + [0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001]
 NORMS = (0.0, 1.0, 10.0, 100.0)
 ALPHA_MODES = ("empirical", "theoretical")
@@ -178,6 +186,33 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
     digest.add(where, digest.call(where, pk.baseline_solve, dataset, catalog, cons))
 
 
+def _add_lp_picks(digest: Digest, pk) -> None:
+    rng = np.random.default_rng(707)
+    for case in range(LP_CASES):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        features, revenues = rng.standard_normal((n, d)), rng.uniform(0.1, 1.0, n)
+        catalog = pk.Catalog(features=features, revenues=revenues)
+        theta = rng.standard_normal(d)
+        theta *= rng.uniform(0.0, 1.0) / np.linalg.norm(theta)
+        half, k = n // 2, int(rng.integers(1, min(n, 4) + 1))
+        blocks = np.zeros((2, n))
+        blocks[0, :half] = blocks[1, half:] = 1.0
+        block_bounds = [int(rng.integers(1, half + 1)), int(rng.integers(1, n - half + 1))]
+        at_least = np.zeros((2, n))
+        at_least[0], at_least[1, :2] = 1.0, -1.0
+        none = np.zeros((2, n))
+        none[0, :2], none[1, :2] = 1.0, -1.0  # at most 0 and at least 1 of items 1-2
+        sets = {
+            "blocks": (blocks, block_bounds),
+            "at-least-one": (at_least, [k, -1]),
+            "admits-none": (none, [0, -1]),
+        }
+        for name, (coeffs, bounds) in sets.items():
+            where = f"lp/{case}/{name}"
+            cons = pk.ConstraintSet(coeffs=coeffs, bounds=np.array(bounds, dtype=float))
+            digest.add(where, digest.call(where, pk.best_assortment, catalog, theta, cons))
+
+
 def _layout(dataset, catalog) -> tuple:
     """(slot matrix, inverse map, 0-based choices): the dataset's attributes,
     or what _matrices(catalog) returns in trees that built them lazily."""
@@ -212,6 +247,14 @@ def output_digest(src_dir: str) -> str:
     for name, shape in SHAPES.items():
         for seed in SEEDS:
             _add_case(digest, pk, f"{name}/{seed}", shape, seed)
+    n_items, k, dim, n, p = FULL_COVERAGE
+    design = pk.SamplingDesign(p=p, n_items=n_items, k=k)
+    for seed in SEEDS:
+        instance = pk.generate_instance(pk.InstanceConfig(n_items=n_items, k=k, dim=dim, seed=seed))
+        dataset = pk.generate_dataset(instance, design, n, np.random.default_rng(seed))
+        records = (dataset.assortments, dataset.choices, dataset.revenues)
+        digest.add(f"full-coverage/{seed}/log", *records)
+    _add_lp_picks(digest, pk)
     for mode in ALPHA_MODES:
         cfg = pk.SweepConfig(
             sweep_variable="n",
