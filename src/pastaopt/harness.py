@@ -202,9 +202,10 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
     rows = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])  # a zero-byte file has no header row
         if header != RESULT_HEADER:
-            raise ValueError(f"unexpected results CSV header: {header}")
+            found = ",".join(header) or "an empty file"
+            raise ValueError(f"{path}: expected the header {','.join(RESULT_HEADER)}, got {found}")
         for rec in reader:
             if len(rec) != len(header):
                 raise ValueError(

@@ -37,6 +37,7 @@ _DELTA = 0.05  # confidence level of the theoretical radius
 # of an NLL pass, a few ulps of the largest |x_j . theta| per record (about
 # 1e-12 at ||theta|| max_j ||x_j|| = 1000), and of the chained bound itself.
 _BOUND_MARGIN = 1e-9
+_CSV_HEADER = ["sample_id", "assortment", "choice", "revenue"]
 
 
 def _distinct_assortments(assortments: Iterable[Iterable[int]]) -> tuple[list, np.ndarray]:
@@ -118,7 +119,7 @@ class OfflineDataset:
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
-            writer.writerow(["sample_id", "assortment", "choice", "revenue"])
+            writer.writerow(_CSV_HEADER)
             for i, (s, a, r) in enumerate(self.records(), start=1):
                 writer.writerow([i, ";".join(str(j) for j in s), a, f"{r:.17g}"])
 
@@ -127,9 +128,10 @@ class OfflineDataset:
         assortments, choices, revenues = [], [], []
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
-            header = next(reader)
-            if header != ["sample_id", "assortment", "choice", "revenue"]:
-                raise ValueError(f"unexpected dataset CSV header: {header}")
+            header = next(reader, [])  # a zero-byte file has no header row
+            if header != _CSV_HEADER:
+                found, expected = ",".join(header) or "an empty file", ",".join(_CSV_HEADER)
+                raise ValueError(f"{path}: expected the header {expected}, got {found}")
             for row in reader:
                 try:
                     _, members, choice, revenue = row
@@ -144,11 +146,41 @@ class OfflineDataset:
         return cls(assortments, choices, revenues)
 
 
+def _check_catalog(dataset: OfflineDataset, catalog: Catalog) -> None:
+    if dataset._max_item > catalog.n_items:
+        raise ValueError(
+            f"dataset offers item {dataset._max_item} beyond the {catalog.n_items}-item catalog"
+        )
+
+
+def _derivative_layout(
+    dataset: OfflineDataset, catalog: Catalog
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What a derivative pass needs that depends on the log and the catalog
+    alone: the slot features x[slots.T] (distinct, max_k, d); each offered
+    slot's 0-based item, record by record; that slot's flat position in the
+    C-ordered (distinct, max_k) rows array of the pass; and the purchase
+    count of every item. The items and positions keep the order of
+    rows[inverse][mask], so sums over them run in record order."""
+    _check_catalog(dataset, catalog)
+    slots_t = dataset._slots.T
+    idx = slots_t[dataset._inverse]
+    mask = idx >= 0
+    flat = dataset._inverse[:, None] * slots_t.shape[1] + np.arange(slots_t.shape[1])
+    chosen = dataset._chosen
+    purchases = np.bincount(chosen[chosen >= 0], minlength=catalog.n_items)
+    return catalog.features[slots_t], idx[mask], flat[mask], purchases
+
+
 def _nll_pass(
-    dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray, derivatives: bool
+    dataset: OfflineDataset,
+    catalog: Catalog,
+    theta: np.ndarray,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """The NLL at theta and, when derivatives is set, its gradient and
-    Hessian, all from one log-sum-exp per distinct assortment.
+    """The NLL at theta and, when a _derivative_layout of the same dataset
+    and catalog is given, its gradient and Hessian, all from one log-sum-exp
+    per distinct assortment. layout None means the NLL alone.
 
     Per record the score is sum_{j in S} P(j|S;theta) x_j - x_A (dropping
     the x_A term for no-purchase records), and the Hessian is the covariance
@@ -157,7 +189,9 @@ def _nll_pass(
     happens in per-item weight space so a single (N, d) product yields the
     gradient. The choice probabilities, and the mean feature they weight,
     are computed once per distinct assortment and gathered back to records
-    before any sum over records, so those sums run in record order.
+    before any sum over records, so those sums run in record order. The
+    layout carries every gather that does not depend on theta, so a fit
+    builds it once for all its passes.
 
     The gathered utilities sit one column per assortment, so the row max is
     a reduction down the short first axis, which numpy runs as one
@@ -167,10 +201,7 @@ def _nll_pass(
     the order the per-record evaluation uses, so the results keep their
     bytes.
     """
-    if dataset._max_item > catalog.n_items:
-        raise ValueError(
-            f"dataset offers item {dataset._max_item} beyond the {catalog.n_items}-item catalog"
-        )
+    _check_catalog(dataset, catalog)
     slots, inverse, chosen = dataset._slots, dataset._inverse, dataset._chosen
     ue = np.concatenate((catalog.utilities(theta), (-np.inf, 0.0)))
     cols = ue[slots]
@@ -180,16 +211,14 @@ def _nll_pass(
     nll = float(np.mean(log_denom[inverse] - ue[chosen]))
     if not math.isfinite(nll):
         raise FloatingPointError("non-finite likelihood; data or theta out of range")
-    if not derivatives:
+    if layout is None:
         return nll, None, None
-    n_items, x = catalog.n_items, catalog.features
+    slot_x, items, positions, purchases = layout
+    x = catalog.features
     rows = np.ascontiguousarray(np.exp(cols - log_denom).T)
     # the mean feature per distinct assortment; padded slots carry zero mass
-    mean_x = np.einsum("ik,ikd->id", rows, x[slots.T])[inverse]
-    probs, idx = rows[inverse], slots.T[inverse]
-    mask = idx >= 0
-    item_prob = np.bincount(idx[mask], weights=probs[mask], minlength=n_items)
-    purchases = np.bincount(chosen[chosen >= 0], minlength=n_items)
+    mean_x = np.einsum("ik,ikd->id", rows, slot_x)[inverse]
+    item_prob = np.bincount(items, weights=rows.ravel()[positions], minlength=catalog.n_items)
     grad = ((item_prob - purchases) @ x) / dataset.n
     hess = ((x.T * item_prob) @ x - mean_x.T @ mean_x) / dataset.n
     return nll, grad, hess
@@ -197,18 +226,18 @@ def _nll_pass(
 
 def neg_log_likelihood(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> float:
     """Sample-average negative log choice probability of the observed choices."""
-    return _nll_pass(dataset, catalog, theta, derivatives=False)[0]
+    return _nll_pass(dataset, catalog, theta, None)[0]
 
 
 def nll_gradient(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
     """Gradient of neg_log_likelihood in theta."""
-    return _nll_pass(dataset, catalog, theta, derivatives=True)[1]
+    return _nll_pass(dataset, catalog, theta, _derivative_layout(dataset, catalog))[1]
 
 
 def nll_hessian(dataset: OfflineDataset, catalog: Catalog, theta: np.ndarray) -> np.ndarray:
     """Hessian of neg_log_likelihood in theta: the average choice-weighted
     covariance of the offered features (positive semidefinite)."""
-    return _nll_pass(dataset, catalog, theta, derivatives=True)[2]
+    return _nll_pass(dataset, catalog, theta, _derivative_layout(dataset, catalog))[2]
 
 
 @dataclass(frozen=True)
@@ -306,8 +335,9 @@ def fit_mle(
     if space.dim != catalog.dim:
         raise ValueError("parameter space dimension must match catalog features")
     opts = opts or FitOptions()
+    layout = _derivative_layout(dataset, catalog)
     theta = np.zeros(catalog.dim)
-    nll, grad, hess = _nll_pass(dataset, catalog, theta, derivatives=True)
+    nll, grad, hess = _nll_pass(dataset, catalog, theta, layout)
     residual = _projected_residual(space, theta, grad)
     it = 0
     while residual > opts.grad_tol and it < opts.max_iters:
@@ -318,7 +348,7 @@ def fit_mle(
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = space.project(theta + step * direction)
-            cand_pass = _nll_pass(dataset, catalog, cand, derivatives=True)
+            cand_pass = _nll_pass(dataset, catalog, cand, layout)
             if cand_pass[0] <= nll + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -411,7 +441,8 @@ class ConfidenceRegion:
         if not self.space.contains(theta):
             return False
         anchor, bound, exact = self._anchor
-        step = float(np.linalg.norm(theta - anchor))
+        offset = theta - anchor
+        step = math.sqrt(offset.dot(offset))  # np.linalg.norm's arithmetic on a vector
         bound += self._lipschitz * step
         if bound - self.fit.nll <= self.alpha - _BOUND_MARGIN:
             if step > 0:

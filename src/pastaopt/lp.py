@@ -25,7 +25,7 @@ tableau from that shape rather than from a general standard form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -72,6 +72,8 @@ class ConstraintSet:
 
     coeffs: np.ndarray
     bounds: np.ndarray
+    # K when the set is the single all-ones row sum_j gamma_j <= K with K >= 1
+    _cardinality_bound: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -83,6 +85,8 @@ class ConstraintSet:
                 raise ValueError(f"constraint {name} must be finite integers, got {values}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "bounds", bounds)
+        single = coeffs.shape[0] == 1 and np.all(coeffs == 1.0) and bounds[0] >= 1
+        object.__setattr__(self, "_cardinality_bound", int(bounds[0]) if single else None)
 
     @property
     def n_rows(self) -> int:
@@ -266,13 +270,6 @@ def recover_assortment(sol: LpSolution, v: np.ndarray) -> Assortment:
     return tuple(int(j + 1) for j in np.flatnonzero(gamma > 0.5))
 
 
-def _cardinality_bound(cons: ConstraintSet) -> int | None:
-    """K when cons is the single all-ones row sum_j gamma_j <= K with K >= 1."""
-    if cons.n_rows == 1 and np.all(cons.coeffs == 1.0) and cons.bounds[0] >= 1:
-        return int(cons.bounds[0])
-    return None
-
-
 def _top_k_assortment(
     catalog: Catalog, theta: np.ndarray, k: int, start: Assortment
 ) -> Assortment:
@@ -294,7 +291,8 @@ def _top_k_assortment(
     seen = set()  # guards termination against float ties between two sets
     while True:
         # r_j - lam = (r_j w0 + sum_{i in S} w_i (r_j - r_i)) / (w0 + sum_{i in S} w_i)
-        excess = (r * w0 + (r[:, None] - r[best]) @ w[best]) / (w0 + w[best].sum())
+        w_best = w[best]
+        excess = (r * w0 + (r[:, None] - r[best]) @ w_best) / (w0 + w_best.sum())
         gain = w * excess
         order = np.argsort(-gain, kind="stable")[:k]
         top = np.zeros_like(best)
@@ -304,7 +302,7 @@ def _top_k_assortment(
             break
         seen.add(key)
         best = top
-    return tuple(int(j) + 1 for j in np.flatnonzero(best))
+    return tuple(j + 1 for j in np.flatnonzero(best).tolist())
 
 
 def best_assortment(
@@ -325,7 +323,7 @@ def best_assortment(
     if cons.n_items != catalog.n_items:
         raise ValueError("constraint set and catalog disagree on the number of items")
     start = catalog.check_assortment(start)
-    k = _cardinality_bound(cons)
+    k = cons._cardinality_bound
     # the one all-ones row admits exactly the sets of at most k items
     admitted = len(start) <= k if k is not None else not start or cons.admits(start)
     if not admitted:

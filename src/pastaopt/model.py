@@ -8,6 +8,7 @@ weight exp(x_i . theta) against a no-purchase weight of 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -127,7 +128,8 @@ class ParamSpace:
 
     def contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)
-        return theta.shape == (self.dim,) and float(np.linalg.norm(theta)) <= self.theta_max
+        # sqrt(theta . theta) is np.linalg.norm's own arithmetic on a vector
+        return theta.shape == (self.dim,) and math.sqrt(theta.dot(theta)) <= self.theta_max
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the ball; the result always passes contains."""
@@ -216,6 +218,17 @@ def choice_probabilities(catalog: Catalog, s: Iterable[int], theta: np.ndarray) 
     return ChoiceDistribution(items=s, item_probs=item_probs, no_purchase=no_purchase)
 
 
+def _revenue_and_gradient(
+    catalog: Catalog, idx: np.ndarray, theta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Expected revenue v = sum_i r_i p_i of the items idx (0-based, checked,
+    nonempty) and its gradient sum_i p_i (r_i - v) x_i, with p_i = P(i|s;theta)."""
+    item_probs, _ = _choice_masses(catalog.utilities(theta)[idx])
+    r = catalog.revenues[idx]
+    v = float(r @ item_probs)
+    return v, (item_probs * (r - v)) @ catalog.features[idx]
+
+
 def expected_revenue(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> float:
     """Expected revenue of offering s: sum_i r_i P(i | s; theta).
 
@@ -224,9 +237,7 @@ def expected_revenue(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> f
     s = catalog.check_assortment(s)
     if not s:
         return 0.0
-    idx = np.asarray(s, dtype=int) - 1
-    item_probs, _ = _choice_masses(catalog.utilities(theta)[idx])
-    return float(catalog.revenues[idx] @ item_probs)
+    return _revenue_and_gradient(catalog, np.asarray(s, dtype=int) - 1, theta)[0]
 
 
 def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndarray) -> np.ndarray:
@@ -238,11 +249,7 @@ def expected_revenue_gradient(catalog: Catalog, s: Iterable[int], theta: np.ndar
     s = catalog.check_assortment(s)
     if not s:
         raise ValueError("gradient is undefined for the empty assortment")
-    idx = np.asarray(s, dtype=int) - 1
-    item_probs, _ = _choice_masses(catalog.utilities(theta)[idx])
-    r = catalog.revenues[idx]
-    v = float(r @ item_probs)
-    return (item_probs * (r - v)) @ catalog.features[idx]
+    return _revenue_and_gradient(catalog, np.asarray(s, dtype=int) - 1, theta)[1]
 
 
 def sample_choice(

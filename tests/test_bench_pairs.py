@@ -40,3 +40,43 @@ def test_report_json_round_trips_with_one_run_per_line():
     text = bench_pairs.to_json(report)
     assert json.loads(text) == report
     assert text.count('"seed": 1') == 2 and len(text.splitlines()) == 11
+
+
+def paired_runs(values):
+    runs = []
+    for seed, (parent, change) in enumerate(values):
+        runs.append(run(seed, "parent", ms=parent, share=parent))
+        runs.append(run(seed, "change", ms=change, share=change))
+    return runs
+
+
+def test_gain_claim_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_iqr():
+    # parent 10..19 (median 14.5, IQR 4.5); the change is 5 lower in 9 pairs
+    wins_nine = [(10.0 + i, 5.0 + i) for i in range(9)] + [(19.0, 19.0)]
+    summary = bench_pairs.summarize(paired_runs(wins_nine), {"ms": "lower", "share": "higher"})
+    assert summary["ms"]["change_better"] == 9 and summary["ms"]["ties"] == 1
+    assert summary["ms"]["gain_claim_holds"] is True
+    assert summary["share"]["gain_claim_holds"] is False  # higher is better there
+    # a tie counts for neither side: 8 wins and 2 ties fall short
+    wins_eight = wins_nine[:8] + [(18.0, 18.0), (19.0, 19.0)]
+    summary = bench_pairs.summarize(paired_runs(wins_eight), {"ms": "lower"})
+    assert summary["ms"]["gain_claim_holds"] is False
+    # 10 wins by 0.5 each: the median gap 0.5 is inside the parent's IQR
+    small = [(10.0 + i, 9.5 + i) for i in range(10)]
+    summary = bench_pairs.summarize(paired_runs(small), {"ms": "lower"})
+    assert summary["ms"]["change_better"] == 10
+    assert summary["ms"]["gain_claim_holds"] is False
+
+
+def test_within_bound_by_declared_direction():
+    values = [(10.0, 12.0), (10.0, 12.5), (10.0, 13.0)]  # change medians 12.5 against 10
+    bounds = {"ms": 0.25, "share": 0.25}
+    summary = bench_pairs.summarize(paired_runs(values), {"ms": "lower", "share": "higher"}, bounds)
+    assert summary["ms"]["within_bound"] is True  # 12.5 <= 10 * 1.25
+    assert summary["share"]["within_bound"] is True  # higher is better: a gain
+    summary = bench_pairs.summarize(paired_runs(values), {"ms": "lower"}, {"ms": 0.2})
+    assert summary["ms"]["within_bound"] is False and summary["ms"]["bound"] == 0.2
+    lower_share = [(10.0, 7.0), (10.0, 7.4), (10.0, 8.0)]
+    summary = bench_pairs.summarize(paired_runs(lower_share), {"share": "higher"}, bounds)
+    assert summary["share"]["within_bound"] is False  # 7.4 < 10 * 0.75
+    assert "within_bound" not in bench_pairs.summarize(paired_runs(values), {})["ms"]

@@ -156,6 +156,20 @@ class TestFitAndSolve:
         assert code == 1
         assert "dataset is empty" in capsys.readouterr().err
 
+    def test_zero_byte_dataset_is_validation_error(self, generated, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        code = run_cli(
+            "solve", "--method", "pasta",
+            "--instance", str(generated / "instance.json"),
+            "--data", str(empty),
+            "--out", str(tmp_path / "pasta.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{empty}: expected the header sample_id,assortment,choice,revenue" in err
+        assert "got an empty file" in err
+
     def test_non_finite_revenue_is_validation_error(self, generated, tmp_path, capsys):
         lines = (generated / "dataset.csv").read_text().splitlines()
         nan_row = lines[3].rsplit(",", 1)[0] + ",nan"
@@ -208,6 +222,15 @@ class TestSweepAndPlot:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,results,file\n1,2,3,4\n")
         assert run_cli("plot", "--metric", "regret", "--input", str(bad), "--out", str(tmp_path / "x.svg")) == 1
+
+    def test_plot_rejects_zero_byte_csv(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        code = run_cli("plot", "--metric", "regret", "--input", str(empty), "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        header = "sweep_var,sweep_value,rep,method,regret,accuracy,wall_time_ms"
+        assert f"{empty}: expected the header {header}, got an empty file" in err
 
     def test_plot_rejects_row_with_wrong_field_count(self, tmp_path, capsys):
         bad = tmp_path / "short.csv"

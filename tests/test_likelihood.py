@@ -242,6 +242,54 @@ class TestFitPasses:
                 assert fit.n_iters >= 3 and len(calls) == 1 + fit.n_iters
 
 
+class TestDerivativeLayout:
+    """A fit gathers what its derivative passes share once; nll_gradient and
+    nll_hessian build the same layout per call."""
+
+    def test_fit_builds_one_layout_for_all_its_passes(self, monkeypatch):
+        built, passed = [], []
+        real_layout, real_pass = likelihood._derivative_layout, likelihood._nll_pass
+
+        def layout(dataset, catalog):
+            built.append(real_layout(dataset, catalog))
+            return built[-1]
+
+        def counting(dataset, catalog, theta, layout):
+            passed.append(layout)
+            return real_pass(dataset, catalog, theta, layout)
+
+        monkeypatch.setattr(likelihood, "_derivative_layout", layout)
+        monkeypatch.setattr(likelihood, "_nll_pass", counting)
+        for name, cat, ds, space in fit_cases():
+            built.clear()
+            passed.clear()
+            fit_mle(ds, cat, space)
+            assert len(built) == 1, name
+            assert len(passed) >= 1 and all(p is built[0] for p in passed), name
+
+    def test_derivatives_match_the_reference_at_each_fit(self):
+        for name, cat, ds, space in fit_cases():
+            for theta in (np.zeros(cat.dim), fit_mle(ds, cat, space).theta):
+                grad, hess = reference_derivatives(ds, cat, theta)
+                assert nll_gradient(ds, cat, theta).tobytes() == grad.tobytes(), name
+                assert nll_hessian(ds, cat, theta).tobytes() == hess.tobytes(), name
+
+    def test_item_beyond_the_catalog_raises_before_any_gather(self):
+        cat = catalog_1d([0.5, -0.5, 0.0, 1.0], [1.0] * 4)
+        ds = OfflineDataset([(1,), (2, 5)], [1, 5], [1.0, 0.5])
+        theta = np.ones(1)
+        calls = [
+            lambda: neg_log_likelihood(ds, cat, theta),
+            lambda: nll_gradient(ds, cat, theta),
+            lambda: nll_hessian(ds, cat, theta),
+            lambda: fit_mle(ds, cat),
+        ]
+        for call in calls:
+            # a gather first would raise IndexError on item 5 of 4
+            with pytest.raises(ValueError, match="offers item 5 beyond the 4-item catalog"):
+                call()
+
+
 class TestNegLogLikelihood:
     def test_single_purchase_record(self):
         cat = catalog_1d([0.0], [1.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pastaopt import (
     build_assortment_lp,
     cardinality_constraints,
     expected_revenue,
+    lp,
     recover_assortment,
     solve_lp,
 )
@@ -66,6 +69,73 @@ class TestConstraintSet:
             cons.admits((4,))
         with pytest.raises(ValueError):
             cons.admits((0, 1))
+
+
+def former_cardinality_bound(cons):
+    """The rule best_assortment applied on every call before the bound was
+    derived at construction."""
+    if cons.n_rows == 1 and np.all(cons.coeffs == 1.0) and cons.bounds[0] >= 1:
+        return int(cons.bounds[0])
+    return None
+
+
+def bound_cases():
+    """(name, constraint set) over 4 items, one per branch of the rule."""
+    two_rows = np.zeros((2, 4))
+    two_rows[0, :2] = two_rows[1, 2:] = 1.0
+    return [
+        ("all-ones-k2", ConstraintSet(np.ones((1, 4)), np.array([2.0]))),
+        ("all-ones-k1", cardinality_constraints(4, 1)),
+        ("all-ones-k0", ConstraintSet(np.ones((1, 4)), np.array([0.0]))),
+        ("coefficient-2", ConstraintSet(np.full((1, 4), 2.0), np.array([2.0]))),
+        ("two-rows", ConstraintSet(two_rows, np.array([1.0, 1.0]))),
+        ("negative-bound", ConstraintSet(np.ones((1, 4)), np.array([-1.0]))),
+    ]
+
+
+class TestCardinalityBound:
+    """ConstraintSet derives the top-K route's bound once, at construction."""
+
+    def test_cached_bound_matches_the_former_rule(self):
+        got = {name: cons._cardinality_bound for name, cons in bound_cases()}
+        assert got == {name: former_cardinality_bound(cons) for name, cons in bound_cases()}
+        assert got["all-ones-k2"] == 2 and type(got["all-ones-k2"]) is int
+        assert got["all-ones-k1"] == 1
+        assert [k for k in got.values() if k is None] == [None] * 4
+
+    def test_equality_and_repr_leave_the_bound_out(self):
+        compared = [f.name for f in dataclasses.fields(ConstraintSet) if f.compare]
+        assert compared == ["coeffs", "bounds"]
+        cons = cardinality_constraints(1, 1)
+        assert cons == ConstraintSet(np.ones((1, 1)), np.array([1.0]))
+        assert cons != ConstraintSet(np.ones((1, 1)), np.array([0.0]))
+        assert repr(cons) == f"ConstraintSet(coeffs={cons.coeffs!r}, bounds={cons.bounds!r})"
+
+    def test_best_assortment_takes_the_same_route_and_pick(self, rng, monkeypatch):
+        routes = []
+        for name in ("_top_k_assortment", "solve_lp"):
+            real = getattr(lp, name)
+            monkeypatch.setattr(
+                lp, name, lambda *args, real=real, name=name: routes.append(name) or real(*args)
+            )
+        cat = random_catalog(rng, 4, 2)
+        theta = rng.standard_normal(2)
+        for name, cons in bound_cases():
+            routes.clear()
+            k = former_cardinality_bound(cons)
+            if name == "negative-bound":
+                with pytest.raises(ValueError, match="admits no assortment"):
+                    best_assortment(cat, theta, cons)
+                assert routes == ["solve_lp"]
+                continue
+            got = best_assortment(cat, theta, cons)
+            assert routes == (["_top_k_assortment"] if k is not None else ["solve_lp"]), name
+            assert all(type(j) is int for j in got), name
+            if k is None:
+                built = build_assortment_lp(cat, theta, cons)
+                assert got == recover_assortment(solve_lp(built), built.v), name
+            else:
+                assert got == brute_force_best(cat, theta, cons), name
 
 
 class TestHandInstances:

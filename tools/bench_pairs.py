@@ -13,7 +13,11 @@ alike.
 The output file keeps every run's final JSON line, the seeds, the environment
 the runs printed (a list if they differ) and, per metric, the median and inclusive quartiles of each
 side plus the number of pairs the change wins by the direction that
-BENCHMARK.json declares for the metric. ``--trace 0`` runs go under
+BENCHMARK.json declares for the metric. Each metric also states whether a
+gain claim on it holds (the change wins at least 9 of 10 pairs, ties counting
+for neither side, and its median beats the parent's by more than the
+parent's interquartile range) and, for an end-to-end metric, whether the
+change's median stays within the metric's relative ``bound`` of the parent's. ``--trace 0`` runs go under
 ``workloads``, ``--trace 1`` runs under ``traced``. If the output file exists,
 the new workload is merged into it, replacing an earlier entry of the same
 workload and mode, so one file can collect every workload.
@@ -70,8 +74,28 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's pair wins."""
+def gain_claim_holds(parent: dict, change: dict, wins: int, pairs: int, lower: bool) -> bool:
+    """The change wins at least 9 of 10 pairs (a tie counts for neither side)
+    and its median beats the parent's by more than the parent's IQR."""
+    gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+    return 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]
+
+
+def within_bound(parent: dict, change: dict, bound: float, lower: bool) -> bool:
+    """The change's median is worse than the parent's by at most the
+    relative bound."""
+    if lower:
+        return change["median"] <= parent["median"] * (1.0 + bound)
+    return change["median"] >= parent["median"] * (1.0 - bound)
+
+
+def summarize(
+    runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict:
+    """Per metric: each side's median and quartiles, the change's pair wins,
+    whether a gain claim holds and, for the metrics in bounds, whether the
+    change stays within its bound."""
+    bounds = bounds or {}
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -83,14 +107,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         ]
         lower = better.get(name, "lower") == "lower"
         wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
+        parent, change = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
         summary[name] = {
-            "parent": spread([p for p, _ in pairs]),
-            "change": spread([c for _, c in pairs]),
+            "parent": parent,
+            "change": change,
             "better": "lower" if lower else "higher",
             "pairs": len(pairs),
             "change_better": wins,
             "ties": sum(1 for p, c in pairs if p == c),
+            "gain_claim_holds": gain_claim_holds(parent, change, wins, len(pairs), lower),
         }
+        if name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["within_bound"] = within_bound(parent, change, bounds[name], lower)
     return summary
 
 
@@ -138,6 +167,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     runs, environments = [], []
     for seed in args.seeds:
         order = SIDES if seed % 2 == 0 else SIDES[::-1]
@@ -150,6 +180,15 @@ def main(argv=None) -> int:
             runs.append({"seed": seed, "side": side, "result": result})
             value = result["metrics"].get("op_ms.p50", {}).get("value")
             print(f"seed {seed} {side}: correct={result['correct']} op_ms.p50={value}")
+
+    summary = summarize(runs, better, bounds)
+    for name, entry in summary.items():
+        if "within_bound" in entry:
+            print(
+                f"{name}: change better in {entry['change_better']}/{entry['pairs']} pairs,"
+                f" gain claim holds={entry['gain_claim_holds']},"
+                f" within bound {entry['bound']}={entry['within_bound']}"
+            )
 
     report = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     report.update(
@@ -167,7 +206,7 @@ def main(argv=None) -> int:
     section[args.workload] = {
         "seeds": args.seeds,
         "seconds": args.seconds,
-        "summary": summarize(runs, better),
+        "summary": summary,
         "runs": runs,
     }
     args.out.write_text(to_json(report) + "\n", encoding="utf-8")

@@ -28,6 +28,12 @@ p = 0.05 on the optimum):
   points within 1e-3 and 1e-9 of it), so a membership test that chains
   state from one call to the next is checked on both sides of the boundary;
 - baseline_solve's pick;
+- expected_revenue and expected_revenue_gradient at ||theta|| in
+  {0.1, 1, 10, 100} on each pick above (pasta in both alpha modes, and
+  the baseline);
+- best_assortment's top-K picks at ||theta|| in {0.1, 1, 10, 100}, from a
+  cold start and warm-started from each of those picks and from a random
+  admissible set;
 
 plus the generated logs alone (no fit, no solve) at FULL_COVERAGE, a
 10-item shape whose 5000 records repeat many sets besides the optimum;
@@ -68,6 +74,7 @@ FULL_COVERAGE = (10, 8, 4, 5000, 0.01)
 LP_CASES = 60
 WALK = list(np.linspace(0.0, 1.5, 151)) + [0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.001]
 NORMS = (0.0, 1.0, 10.0, 100.0)
+REVENUE_NORMS = (0.1, 1.0, 10.0, 100.0)
 ALPHA_MODES = ("empirical", "theoretical")
 # name: (assortments, choices, revenues), each log on EDGE_CATALOG at EDGE_THETA
 EDGE_LOGS = {
@@ -164,12 +171,14 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
             where = f"{label}/{fn.__name__}@{norm}"
             digest.add(where, digest.call(where, fn, dataset, catalog, theta))
 
+    picks = []
     for mode in ALPHA_MODES:
         where = f"{label}/pasta-{mode}"
         opts = pk.PastaOptions(alpha_mode=mode)
         out = digest.call(where, pk.pasta_solve, dataset, catalog, cons, opts)
         if out is not None:
             s, trace = out
+            picks.append(s)
             digest.add(where, s, trace.alpha, trace.theta_ml, trace.converged_early)
             for t, s_t, theta_t, worst in trace.iterations:
                 digest.add(where + "/row", t, s_t, theta_t, worst)
@@ -183,7 +192,29 @@ def _add_case(digest: Digest, pk, label: str, shape: tuple, seed: int) -> None:
             walk = _boundary_walk(pk, region, direction)
             digest.add(where + "/walk", walk)
     where = label + "/baseline"
-    digest.add(where, digest.call(where, pk.baseline_solve, dataset, catalog, cons))
+    baseline = digest.call(where, pk.baseline_solve, dataset, catalog, cons)
+    digest.add(where, baseline)
+    picks = [pick for pick in picks + [baseline] if pick]
+    _add_picks_at_norms(digest, pk, label, catalog, cons, k, picks, direction, seed)
+
+
+def _add_picks_at_norms(digest: Digest, pk, label, catalog, cons, k, picks, direction, seed):
+    """Revenue and its gradient on each pick, and best_assortment's top-K
+    picks from a cold start and from warm starts (each pick and one random
+    set of at most k items), at every norm of REVENUE_NORMS along direction."""
+    rng = np.random.default_rng(seed + 1000)
+    size = int(rng.integers(1, k + 1))
+    random_start = tuple(int(j) + 1 for j in rng.choice(catalog.n_items, size, replace=False))
+    for norm in REVENUE_NORMS:
+        theta = direction * norm
+        for i, pick in enumerate(picks):
+            for fn in (pk.expected_revenue, pk.expected_revenue_gradient):
+                where = f"{label}/{fn.__name__}@{norm}/{i}"
+                digest.add(where, digest.call(where, fn, catalog, pick, theta))
+        for i, start in enumerate([()] + picks + [random_start]):
+            where = f"{label}/top-k@{norm}/{i}"
+            kwargs = {"start": start} if start else {}
+            digest.add(where, digest.call(where, pk.best_assortment, catalog, theta, cons, **kwargs))
 
 
 def _add_lp_picks(digest: Digest, pk) -> None:
