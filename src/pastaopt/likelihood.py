@@ -166,10 +166,10 @@ def _derivative_layout(
     slots_t = dataset._slots.T
     idx = slots_t[dataset._inverse]
     mask = idx >= 0
-    flat = dataset._inverse[:, None] * slots_t.shape[1] + np.arange(slots_t.shape[1])
+    positions = dataset._inverse[:, None] * slots_t.shape[1] + np.arange(slots_t.shape[1])
     chosen = dataset._chosen
     purchases = np.bincount(chosen[chosen >= 0], minlength=catalog.n_items)
-    return catalog.features[slots_t], idx[mask], flat[mask], purchases
+    return catalog.features[slots_t], idx[mask], positions[mask], purchases
 
 
 def _nll_pass(
